@@ -32,27 +32,25 @@ from .gram_signed_z2 import (
     SignedBlockKey,
     block_spectrum_tensor,
     build_exceptional_block,
-    e_family_eigenvalues,
     x_e_poly,
     x_z2_poly,
-    z2_family_eigenvalues,
 )
 from .oracle import VerifyReport, charpoly, det_poly, verify_gram_det, verify_sdm_spectrum
 from .poly import Polynomial, factor_product, integer_roots
-from .sdm import DiagramKey, EntryMatrix, build, entry_level, substitute
+from .sdm import EntryMatrix, build, substitute
 from .spectrum import (
     EigenvalueForm,
     difference_transform,
     distinct_eigenvalues,
     eberlein_coefficient,
     multiplicities,
+    substituted_spectrum,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlockSpectrum",
-    "DiagramKey",
     "EigenvalueForm",
     "EntryMatrix",
     "GramMatrix",
@@ -73,9 +71,7 @@ __all__ = [
     "det_poly",
     "difference_transform",
     "distinct_eigenvalues",
-    "e_family_eigenvalues",
     "eberlein_coefficient",
-    "entry_level",
     "enumerate_half_diagrams",
     "factor_product",
     "gram_entry",
@@ -87,10 +83,10 @@ __all__ = [
     "set_partitions",
     "stirling2",
     "substitute",
+    "substituted_spectrum",
     "verify_gram_det",
     "verify_sdm_spectrum",
     "x_e_poly",
     "x_substitution_poly",
     "x_z2_poly",
-    "z2_family_eigenvalues",
 ]

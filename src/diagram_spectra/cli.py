@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import gram_partition, gram_signed_z2, oracle, sdm, spectrum
 from .errors import SizeCapExceeded
@@ -33,6 +33,9 @@ EXIT_VERIFY = 3
 
 FORMATS = ("json", "csv", "pretty-table")
 FORMAT_ENV_VAR = "DIAGRAM_SPECTRA_FORMAT"
+
+# a handler's exit code, JSON object, and csv and pretty-table renderers
+Result = tuple[int, object, Callable[[], str], Callable[[], str]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,21 +54,36 @@ def _resolve_format(explicit: str | None) -> str:
     return fmt
 
 
-def _print_json(obj: object) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-
-
-def _print_table(headers: list[str], rows: list[list[str]]) -> None:
+def _table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
     def fmt_row(cells: list[str]) -> str:
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    sys.stdout.write(fmt_row(headers) + "\n")
-    sys.stdout.write("  ".join("-" * w for w in widths) + "\n")
-    for row in rows:
-        sys.stdout.write(fmt_row(row) + "\n")
+    lines = [fmt_row(headers), "  ".join("-" * w for w in widths)]
+    lines += [fmt_row(row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _emit(fmt: str, data: object, csv: Callable[[], str], table: Callable[[], str]) -> None:
+    """Write one result: data as JSON, or the text of the csv or table
+    renderer. Only the renderer of the chosen format runs."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(data, indent=2) + "\n")
+    else:
+        sys.stdout.write((csv if fmt == "csv" else table)())
+
+
+def _poly(coeffs: list[str]) -> Polynomial:
+    """A polynomial back from its JSON form."""
+    return Polynomial.of(int(c) for c in coeffs)
+
+
+def _monomial(coeffs: list[str]) -> str:
+    """A Gram entry, which is 0 or x^m, from its JSON form."""
+    d = len(coeffs) - 1
+    return "0" if d < 0 else "1" if d == 0 else "x" if d == 1 else f"x^{d}"
 
 
 def _add_out_flag(p: argparse.ArgumentParser) -> None:
@@ -80,62 +98,52 @@ def _add_out_flag(p: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------- sdm entry
 
 
-def _sdm_build(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args.out)
+def _sdm_build(args: argparse.Namespace) -> Result:
     m = sdm.build(args.s, args.r, max_size=args.max_size)
-    if fmt == "json":
-        _print_json(m.to_json_dict())
-    elif fmt == "csv":
-        sys.stdout.write(m.to_csv())
-    else:
+
+    def table() -> str:
         rows = [[f"x{v}" for v in row] for row in m.levels]
-        headers = [f"c{j}" for j in range(m.n)]
-        _print_table(headers, rows)
-    return EXIT_OK
+        return _table([f"c{j}" for j in range(m.n)], rows)
+
+    return EXIT_OK, m.to_json_dict(), m.to_csv, table
 
 
-def _sdm_eig(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args.out)
+def _sdm_eig(args: argparse.Namespace) -> Result:
     forms = spectrum.distinct_eigenvalues(args.s, args.r)
-    if fmt == "json":
-        _print_json(spectrum.to_json_dict(args.s, args.r))
-    elif fmt == "csv":
+
+    def csv() -> str:
         lo = min(args.s, args.r)
-        header = "l,multiplicity," + ",".join(f"c{v}" for v in range(lo + 1))
-        lines = [header]
-        for f in forms:
-            lines.append(
-                f"{f.l},{f.multiplicity}," + ",".join(str(c) for c in f.coeffs)
-            )
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        _print_table(
-            ["l", "eigenvalue", "multiplicity"],
-            [[str(f.l), str(f), str(f.multiplicity)] for f in forms],
-        )
-    return EXIT_OK
+        lines = ["l,multiplicity," + ",".join(f"c{v}" for v in range(lo + 1))]
+        lines += [f"{f.l},{f.multiplicity}," + ",".join(map(str, f.coeffs)) for f in forms]
+        return "\n".join(lines) + "\n"
+
+    def table() -> str:
+        rows = [[str(f.l), str(f), str(f.multiplicity)] for f in forms]
+        return _table(["l", "eigenvalue", "multiplicity"], rows)
+
+    return EXIT_OK, spectrum.to_json_dict(args.s, args.r), csv, table
 
 
-def _sdm_verify(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args.out)
+def _sdm_verify(args: argparse.Namespace) -> Result:
     report = oracle.verify_sdm_spectrum(
         args.s, args.r, trials=args.trials, seed=args.seed, max_size=args.max_size
     )
-    if fmt == "json":
-        _print_json(report.to_json_dict())
-    elif fmt == "csv":
-        sys.stdout.write("target,s,r,trials,passed\n")
-        sys.stdout.write(
-            f"sdm_spectrum,{args.s},{args.r},{report.trials},{str(report.passed).lower()}\n"
+
+    def csv() -> str:
+        passed = str(report.passed).lower()
+        return (
+            "target,s,r,trials,passed\n"
+            f"sdm_spectrum,{args.s},{args.r},{report.trials},{passed}\n"
         )
-    else:
+
+    def table() -> str:
         verdict = "PASS" if report.passed else "FAIL"
-        sys.stdout.write(
-            f"{verdict} sdm spectrum s={args.s} r={args.r} trials={report.trials}\n"
-        )
+        lines = [f"{verdict} sdm spectrum s={args.s} r={args.r} trials={report.trials}"]
         for f in report.failures:
-            sys.stdout.write(f"  trial {f['trial']}: substitution {f['substitution']}\n")
-    return EXIT_OK if report.passed else EXIT_VERIFY
+            lines.append(f"  trial {f['trial']}: substitution {f['substitution']}")
+        return "\n".join(lines) + "\n"
+
+    return EXIT_OK if report.passed else EXIT_VERIFY, report.to_json_dict(), csv, table
 
 
 def sdm_main(argv: Sequence[str] | None = None) -> int:
@@ -164,29 +172,21 @@ def sdm_main(argv: Sequence[str] | None = None) -> int:
     _add_out_flag(p_verify)
     p_verify.set_defaults(handler=_sdm_verify)
 
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    return _dispatch(args)
+    return _dispatch(parser, argv)
 
 
 # --------------------------------------------------------------- gram entry
 
 
-def _gram_partition(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args.out)
+def _gram_partition(args: argparse.Namespace) -> Result:
     k, s = args.k, args.s
     if k < 1 or not (0 <= s <= k):
         raise ValueError(f"need k >= 1 and 0 <= s <= k, got k={k}, s={s}")
     build_cap = args.max_size if args.max_size is not None else gram_partition.DEFAULT_MAX_SIZE
     det_cap = args.max_size if args.max_size is not None else oracle.DEFAULT_DET_CAP
 
-    det_sign = None
-    det_report = None
-    if args.det:
-        det_report = oracle.verify_gram_det(k, s, max_size=det_cap)
-        det_sign = det_report.extra["epsilon"]
+    det_report = oracle.verify_gram_det(k, s, max_size=det_cap) if args.det else None
+    det_sign = det_report.extra["epsilon"] if det_report is not None else None
     singular = gram_partition.semisimple_exceptions(k, s) if args.roots else None
 
     data = gram_partition.to_json_dict(
@@ -197,74 +197,60 @@ def _gram_partition(args: argparse.Namespace) -> int:
         singular_x=singular,
         max_size=build_cap,
     )
-    if args.det:
+    if det_report is not None:
         data["det"] = det_report.extra["det"]
+    records = [
+        (blk["r"], e["l"], e["multiplicity"], e["poly"])
+        for blk in data["blocks"]
+        for e in blk["eigen"]
+    ]
 
-    if fmt == "json":
-        _print_json(data)
-    elif fmt == "csv":
+    def matrix_rows() -> list[list[str]]:
+        return [[_monomial(p) for p in row] for row in data["matrix"]["entries"]]
+
+    def csv() -> str:
         if args.matrix:
-            g = gram_partition.build_gram(k, s, max_size=build_cap)
-            sys.stdout.write(g.to_csv())
-        else:
-            lines = ["r,l,multiplicity,poly"]
-            for blk in data["blocks"]:
-                for e in blk["eigen"]:
-                    coeffs = ";".join(e["poly"])
-                    lines.append(f"{blk['r']},{e['l']},{e['multiplicity']},{coeffs}")
-            sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        rows = []
-        for r in range(0, k - s + 1):
-            for l, p, mult in gram_partition.block_spectrum(k, s, r).eigenpolys:
-                rows.append([str(r), str(l), str(p), str(mult)])
-        _print_table(["r", "l", "eigenpoly", "multiplicity"], rows)
+            return "\n".join(",".join(row) for row in matrix_rows()) + "\n"
+        lines = ["r,l,multiplicity,poly"]
+        lines += [f"{r},{l},{m},{';'.join(p)}" for r, l, m, p in records]
+        return "\n".join(lines) + "\n"
+
+    def table() -> str:
+        rows = [[str(c) for c in (r, l, _poly(p), m)] for r, l, m, p in records]
+        text = _table(["r", "l", "eigenpoly", "multiplicity"], rows)
         if det_sign is not None:
-            sys.stdout.write(f"det sign: {det_sign:+d}\n")
+            text += f"det sign: {det_sign:+d}\n"
         if singular is not None:
-            sys.stdout.write(f"singular x: {sorted(singular)}\n")
+            text += f"singular x: {sorted(singular)}\n"
         if args.matrix:
-            g = gram_partition.build_gram(k, s, max_size=build_cap)
-            for line in g.monomial_strings():
-                sys.stdout.write("  ".join(c.rjust(3) for c in line).rstrip() + "\n")
+            for row in matrix_rows():
+                text += "  ".join(c.rjust(3) for c in row).rstrip() + "\n"
+        return text
 
-    if det_report is not None and not det_report.passed:
-        return EXIT_VERIFY
-    return EXIT_OK
+    failed = det_report is not None and not det_report.passed
+    return EXIT_VERIFY if failed else EXIT_OK, data, csv, table
 
 
-def _gram_signed_like(args: argparse.Namespace, mode: str) -> int:
-    fmt = _resolve_format(args.out)
-    data = gram_signed_z2.to_json_dict(args.k, args.s1, args.s2, mode)
-    if fmt == "json":
-        _print_json(data)
-    elif fmt == "csv":
+def _gram_signed_like(args: argparse.Namespace) -> Result:
+    data = gram_signed_z2.to_json_dict(args.k, args.s1, args.s2, args.command)
+    records = [
+        (blk["r1"], blk["r2"], e["l1"], e["l2"], e["multiplicity_per_copy"], e["poly"])
+        for blk in data["blocks"]
+        for e in blk["eigen"]
+    ]
+
+    def csv() -> str:
         lines = ["r1,r2,l1,l2,multiplicity_per_copy,poly"]
-        for blk in data["blocks"]:
-            for e in blk["eigen"]:
-                coeffs = ";".join(e["poly"])
-                lines.append(
-                    f"{blk['r1']},{blk['r2']},{e['l1']},{e['l2']},"
-                    f"{e['multiplicity_per_copy']},{coeffs}"
-                )
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        rows = []
-        for blk in data["blocks"]:
-            for e in blk["eigen"]:
-                p = Polynomial.of(int(c) for c in e["poly"])
-                rows.append(
-                    [
-                        str(blk["r1"]),
-                        str(blk["r2"]),
-                        str(e["l1"]),
-                        str(e["l2"]),
-                        str(p),
-                        str(e["multiplicity_per_copy"]),
-                    ]
-                )
-        _print_table(["r1", "r2", "l1", "l2", "eigenpoly", "mult/copy"], rows)
-    return EXIT_OK
+        lines += [f"{r1},{r2},{l1},{l2},{m},{';'.join(p)}" for r1, r2, l1, l2, m, p in records]
+        return "\n".join(lines) + "\n"
+
+    def table() -> str:
+        rows = [
+            [str(c) for c in (r1, r2, l1, l2, _poly(p), m)] for r1, r2, l1, l2, m, p in records
+        ]
+        return _table(["r1", "r2", "l1", "l2", "eigenpoly", "mult/copy"], rows)
+
+    return EXIT_OK, data, csv, table
 
 
 def gram_main(argv: Sequence[str] | None = None) -> int:
@@ -293,18 +279,24 @@ def gram_main(argv: Sequence[str] | None = None) -> int:
         p_m.add_argument("--s1", type=int, required=True)
         p_m.add_argument("--s2", type=int, required=True)
         _add_out_flag(p_m)
-        p_m.set_defaults(handler=lambda a, m=mode: _gram_signed_like(a, m))
+        # the mode is the subcommand name, args.command
+        p_m.set_defaults(handler=_gram_signed_like)
 
+    return _dispatch(parser, argv)
+
+
+def _dispatch(parser: argparse.ArgumentParser, argv: Sequence[str] | None) -> int:
+    """Parse argv, run the chosen handler and emit its result in the
+    resolved format; errors become exit codes."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    return _dispatch(args)
-
-
-def _dispatch(args: argparse.Namespace) -> int:
     try:
-        return args.handler(args)
+        fmt = _resolve_format(args.out)
+        code, data, csv, table = args.handler(args)
+        _emit(fmt, data, csv, table)
+        return code
     except SizeCapExceeded as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_CAP

@@ -62,9 +62,6 @@ class Subset:
     def __contains__(self, e: int) -> bool:
         return e in self.elements
 
-    def intersection_size(self, other: "Subset") -> int:
-        return len(set(self.elements) & set(other.elements))
-
     def complement(self, n: int) -> "Subset":
         inside = set(self.elements)
         return Subset(tuple(e for e in range(1, n + 1) if e not in inside))

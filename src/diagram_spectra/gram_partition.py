@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 from .combinat import SetPartition, Subset, binomial, k_subsets, set_partitions, stirling2
 from .errors import SizeCapExceeded
-from .poly import ONE, ZERO, Polynomial, factor_product, integer_roots
-from .spectrum import eberlein_coefficient, multiplicities
+from .poly import ZERO, Polynomial, factor_product, integer_roots
+from .spectrum import substituted_spectrum
 
 DEFAULT_MAX_SIZE = 3000
 
@@ -169,24 +169,6 @@ class GramMatrix:
     def n(self) -> int:
         return len(self.diagrams)
 
-    def monomial_strings(self) -> list[list[str]]:
-        out = []
-        for row in self.entries:
-            cells = []
-            for p in row:
-                if p.is_zero():
-                    cells.append("0")
-                elif p == ONE:
-                    cells.append("1")
-                else:
-                    d = p.degree()
-                    cells.append("x" if d == 1 else f"x^{d}")
-            out.append(cells)
-        return out
-
-    def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self.monomial_strings()) + "\n"
-
 
 def build_gram(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> GramMatrix:
     diagrams = enumerate_half_diagrams(k, s)
@@ -224,14 +206,8 @@ def block_spectrum(k: int, s: int, r: int) -> BlockSpectrum:
     if not (0 <= r <= k - s):
         raise ValueError(f"r={r} out of range 0..{k - s}")
     copies = stirling2(k, s + r)
-    mults = multiplicities(s, r)
-    eigen = []
-    for l in range(min(s, r) + 1):
-        e_l = ZERO
-        for t in range(min(s, r) + 1):
-            e_l = e_l + x_substitution_poly(s, r, t).scale(eberlein_coefficient(s, r, l, t))
-        eigen.append((l, e_l, copies * mults[l]))
-    return BlockSpectrum(r=r, eigenpolys=tuple(eigen))
+    eigen = substituted_spectrum(s, r, x_substitution_poly)
+    return BlockSpectrum(r=r, eigenpolys=tuple((l, e_l, copies * m) for l, e_l, m in eigen))
 
 
 def product_form(s: int, r: int, l: int) -> Polynomial:

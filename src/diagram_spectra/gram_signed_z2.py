@@ -27,9 +27,7 @@ is all singletons with s1+s2+r'1+r'2 = k and r'1 >= 1. Its rows come in two
 copies per r'1 value (dimension 2K). Within this block every diagram shares
 the same singleton through classes, so the propagating number never drops
 and every off-diagonal entry takes the sign-flip form
-(-1)^{r1+r'1} * prod_{m=0}^{K-1} (x - (s2+m)); the generic entry formula for
-a dropped propagating number (parameterized by t1, t2) is exposed as
-exceptional_offdiag_poly for completeness. No closed-form spectrum is
+(-1)^{r1+r'1} * prod_{m=0}^{K-1} (x - (s2+m)). No closed-form spectrum is
 offered for this block; use the oracle's determinant on it.
 """
 
@@ -39,8 +37,8 @@ import math
 from dataclasses import dataclass
 
 from .gram_partition import x_substitution_poly
-from .poly import Polynomial, ZERO, factor_product
-from .spectrum import eberlein_coefficient, multiplicities
+from .poly import Polynomial, factor_product
+from .spectrum import substituted_spectrum
 
 
 def _quadratic_factor(c: int) -> Polynomial:
@@ -56,33 +54,8 @@ def x_e_poly(s1: int, r1: int, t: int) -> Polynomial:
     return prod.scale((-1) ** t * 2**t * math.factorial(t))
 
 
-def x_z2_poly(s2: int, r2: int, t: int) -> Polynomial:
-    """Z2-class substitution; same arithmetic as the partition-algebra one."""
-    return x_substitution_poly(s2, r2, t)
-
-
-def e_family_eigenvalues(s1: int, r1: int) -> list[tuple[int, Polynomial]]:
-    """Eigenpolynomials of the substituted e-part, degree 2*r1 each."""
-    lo = min(s1, r1)
-    out = []
-    for l in range(lo + 1):
-        e_l = ZERO
-        for t in range(lo + 1):
-            e_l = e_l + x_e_poly(s1, r1, t).scale(eberlein_coefficient(s1, r1, l, t))
-        out.append((l, e_l))
-    return out
-
-
-def z2_family_eigenvalues(s2: int, r2: int) -> list[tuple[int, Polynomial]]:
-    """Eigenpolynomials of the substituted Z2-part, degree r2 each."""
-    lo = min(s2, r2)
-    out = []
-    for l in range(lo + 1):
-        e_l = ZERO
-        for t in range(lo + 1):
-            e_l = e_l + x_z2_poly(s2, r2, t).scale(eberlein_coefficient(s2, r2, l, t))
-        out.append((l, e_l))
-    return out
+# Z2-class substitution; same arithmetic as the partition-algebra one
+x_z2_poly = x_substitution_poly
 
 
 @dataclass(frozen=True)
@@ -113,15 +86,11 @@ def block_spectrum_tensor(
 ) -> list[tuple[int, int, Polynomial, int]]:
     """Per-copy spectrum of one tensor block: (l1, l2, eigenpoly, mult)."""
     key.validate(mode)
-    e_fam = e_family_eigenvalues(key.s1, key.r1)
-    z_fam = z2_family_eigenvalues(key.s2, key.r2)
-    m1 = multiplicities(key.s1, key.r1)
-    m2 = multiplicities(key.s2, key.r2)
-    out = []
-    for l1, p1 in e_fam:
-        for l2, p2 in z_fam:
-            out.append((l1, l2, p1 * p2, m1[l1] * m2[l2]))
-    return out
+    e_fam = substituted_spectrum(key.s1, key.r1, x_e_poly)
+    z_fam = substituted_spectrum(key.s2, key.r2, x_substitution_poly)
+    return [
+        (l1, l2, p1 * p2, m1 * m2) for l1, p1, m1 in e_fam for l2, p2, m2 in z_fam
+    ]
 
 
 def _z2_run(s2: int, count: int) -> Polynomial:
@@ -137,23 +106,6 @@ def exceptional_diag_poly(k: int, s1: int, s2: int, rp1: int) -> Polynomial:
     rp2 = cap - rp1
     head = factor_product(_quadratic_factor(s1 + j) for j in range(rp1))
     return head * _z2_run(s2, rp2) + _z2_run(s2, cap)
-
-
-def exceptional_offdiag_poly(
-    k: int, s1: int, s2: int, rp1: int, rp2: int, t1: int, t2: int
-) -> Polynomial:
-    """Generic off-diagonal entry for a dropped propagating number.
-
-    (-1)^{t1+t2} 2^{t1} t1! t2! prod_{j=0}^{rp1-t1-1}(x^2-x-2(s1+t1+j))
-    * prod_{m=0}^{rp2-t2-1}(x-(s2+t2+m)) + prod_{m=0}^{K-1}(x-(s2+m)).
-    """
-    cap = k - s1 - s2
-    if not (0 <= t1 <= rp1 and 0 <= t2 <= rp2):
-        raise ValueError(f"need 0 <= t1 <= rp1 and 0 <= t2 <= rp2, got {(t1, t2)}")
-    head = factor_product(_quadratic_factor(s1 + t1 + j) for j in range(rp1 - t1))
-    tail = factor_product(Polynomial.x_minus(s2 + t2 + m) for m in range(rp2 - t2))
-    scale = (-1) ** (t1 + t2) * 2**t1 * math.factorial(t1) * math.factorial(t2)
-    return (head * tail).scale(scale) + _z2_run(s2, cap)
 
 
 def build_exceptional_block(k: int, s1: int, s2: int) -> list[list[Polynomial]]:

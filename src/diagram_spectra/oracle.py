@@ -31,8 +31,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .errors import SizeCapExceeded
 from .poly import ONE, ZERO, Polynomial
 
@@ -91,6 +89,9 @@ def _charpoly_crt(m: Sequence[Sequence[int]]) -> Polynomial:
     every float64 dot product stays below 2^53, so the BLAS matmul is an
     exact integer computation.
     """
+    # imported here so that importing the package does not load numpy
+    import numpy as np
+
     n = len(m)
     maxabs = max((abs(v) for row in m for v in row), default=0)
     if maxabs == 0:
@@ -265,10 +266,13 @@ def verify_sdm_spectrum(
     Each trial substitutes pseudo-random integers in [-9, 9] for the symbols
     x_0..x_min and compares charpoly(substituted matrix) with
     prod_l (lambda - E_l)^{m_l}. Equality must be exact, multiplicities
-    included.
+    included. At least one trial is required: zero trials would certify
+    nothing.
     """
     from . import sdm, spectrum
 
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     matrix = sdm.build(s, r, max_size=max_size)
     forms = spectrum.distinct_eigenvalues(s, r)
     rng = random.Random(f"{seed}:{s}:{r}")

@@ -27,39 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-from .combinat import Subset, binomial, k_subsets
+from .combinat import binomial, k_subsets
 from .errors import SizeCapExceeded
 
 DEFAULT_MAX_SIZE = 200_000
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class DiagramKey:
-    s: int
-    r: int
-    through_set: Subset
-
-    def __post_init__(self) -> None:
-        if len(self.through_set) != self.s:
-            raise ValueError(
-                f"through_set has {len(self.through_set)} elements, expected s={self.s}"
-            )
-        if self.through_set.elements and self.through_set.elements[-1] > self.s + self.r:
-            raise ValueError(
-                f"through_set {self.through_set.elements} exceeds s+r={self.s + self.r}"
-            )
-
-
-def entry_level(d_i: DiagramKey, d_j: DiagramKey) -> int:
-    """Level v of the entry symbol x_v for the pair (d_i, d_j)."""
-    if (d_i.s, d_i.r) != (d_j.s, d_j.r):
-        raise ValueError(
-            f"mismatched shapes: ({d_i.s},{d_i.r}) vs ({d_j.s},{d_j.r})"
-        )
-    f = d_i.s - d_i.through_set.intersection_size(d_j.through_set)
-    return min(d_i.s, d_i.r) - f
 
 
 @dataclass(frozen=True)
@@ -74,9 +47,6 @@ class EntryMatrix:
     @property
     def min_level(self) -> int:
         return min(self.s, self.r)
-
-    def row_keys(self) -> list[DiagramKey]:
-        return [DiagramKey(self.s, self.r, t) for t in k_subsets(self.s + self.r, self.s)]
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,6 +17,9 @@ Multiplicities are not part of the closed form; the hook-shaped assignment
 is used here and is verified exactly against characteristic polynomials by
 the oracle module (see verify_sdm_spectrum); the test suite gates on that.
 
+substituted_spectrum evaluates the families with each x_{min(s,r)-t}
+replaced by a polynomial; every Gram family here is one such substitution.
+
 difference_transform is the finite-difference identity that generates the
 families: applying a^{l+1}_t = a^l_t - a^l_{t-1} to a base sequence l times
 equals the direct alternating-binomial sum. It is kept as an independent
@@ -26,9 +29,10 @@ property, not as the production evaluation path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinat import binomial
+from .poly import ZERO, Polynomial
 
 
 def eberlein_coefficient(s: int, r: int, l: int, t: int) -> int:
@@ -90,6 +94,22 @@ def distinct_eigenvalues(s: int, r: int) -> list[EigenvalueForm]:
             coeffs[lo - t] = eberlein_coefficient(s, r, l, t)
         forms.append(EigenvalueForm(l=l, coeffs=tuple(coeffs), multiplicity=mults[l]))
     return forms
+
+
+def substituted_spectrum(
+    s: int, r: int, x_poly: Callable[[int, int, int], Polynomial]
+) -> list[tuple[int, Polynomial, int]]:
+    """(l, E_l, m_l) for l = 0..min(s,r), with x_{min(s,r)-t} replaced by
+    x_poly(s, r, t). Unlike distinct_eigenvalues it accepts the shape (0, 0),
+    which occurs as a Gram block."""
+    xs = [x_poly(s, r, t) for t in range(min(s, r) + 1)]
+    out = []
+    for l, mult in enumerate(multiplicities(s, r)):
+        e_l = ZERO
+        for t, x_t in enumerate(xs):
+            e_l = e_l + x_t.scale(eberlein_coefficient(s, r, l, t))
+        out.append((l, e_l, mult))
+    return out
 
 
 def difference_transform(base: Sequence[int], l: int) -> list[int]:

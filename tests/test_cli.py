@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diagram_spectra
 from diagram_spectra import oracle
 from diagram_spectra.cli import (
     EXIT_CAP,
@@ -97,6 +102,28 @@ def test_sdm_verify_failure_exit(monkeypatch, capsys):
     code = sdm_main(["verify", "--s", "1", "--r", "1", "--out", "csv"])
     assert code == EXIT_VERIFY
     assert "false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_sdm_verify_rejects_no_trials(trials, capsys):
+    argv = ["verify", "--s", "1", "--r", "1", "--trials", trials, "--out", "pretty-table"]
+    assert sdm_main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "trials" in err
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(diagram_spectra.__file__).parents[1])
+    code = "import sys, diagram_spectra.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_sdm_byte_identical(capsys):

@@ -135,7 +135,8 @@ def run(invocation: list[str]) -> str:
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
-    return " ".join([str(code), _digest(stdout.getvalue()), _digest(stderr.getvalue()), *invocation])
+    digests = [_digest(stdout.getvalue()), _digest(stderr.getvalue())]
+    return " ".join([str(code), *digests, *invocation])
 
 
 def test_cli_golden_corpus():

@@ -5,19 +5,25 @@ from diagram_spectra.gram_signed_z2 import (
     SignedBlockKey,
     block_spectrum_tensor,
     build_exceptional_block,
-    e_family_eigenvalues,
     exceptional_diag_poly,
-    exceptional_offdiag_poly,
     to_json_dict,
     x_e_poly,
     x_z2_poly,
-    z2_family_eigenvalues,
 )
 from diagram_spectra.poly import ONE, Polynomial, factor_product
+from diagram_spectra.spectrum import multiplicities, substituted_spectrum
 
 
 def _quad(c):
     return Polynomial.of([-2 * c, -1, 1])  # x^2 - x - 2c
+
+
+def _e_family(s1, r1):
+    return [(l, p) for l, p, _ in substituted_spectrum(s1, r1, x_e_poly)]
+
+
+def _z2_family(s2, r2):
+    return [(l, p) for l, p, _ in substituted_spectrum(s2, r2, x_z2_poly)]
 
 
 def test_x_e_poly_examples():
@@ -45,7 +51,7 @@ def test_x_z2_poly_is_the_partition_substitution():
 
 
 def test_e_family_1_1():
-    fam = e_family_eigenvalues(1, 1)
+    fam = _e_family(1, 1)
     assert [(l, str(p)) for l, p in fam] == [
         (0, "x^2 - x - 4"),
         (1, "x^2 - x"),
@@ -53,26 +59,26 @@ def test_e_family_1_1():
 
 
 def test_e_family_degenerate():
-    assert e_family_eigenvalues(3, 0) == [(0, ONE)]
+    assert _e_family(3, 0) == [(0, ONE)]
     for r1 in (1, 2, 3):
-        fam = e_family_eigenvalues(0, r1)
+        fam = _e_family(0, r1)
         assert fam == [(0, factor_product(_quad(i) for i in range(r1)))]
 
 
 def test_e_family_degree_and_monic():
     for s1 in range(0, 4):
         for r1 in range(0, 4):
-            for _, p in e_family_eigenvalues(s1, r1):
+            for _, p in _e_family(s1, r1):
                 assert p.degree() == 2 * r1
                 assert p.coeffs[-1] == 1
 
 
 def test_z2_family_examples():
-    assert [(l, str(p)) for l, p in z2_family_eigenvalues(1, 1)] == [
+    assert [(l, str(p)) for l, p in _z2_family(1, 1)] == [
         (0, "x - 2"),
         (1, "x"),
     ]
-    assert [(l, str(p)) for l, p in z2_family_eigenvalues(2, 1)] == [
+    assert [(l, str(p)) for l, p in _z2_family(2, 1)] == [
         (0, "x - 4"),
         (1, "x - 1"),
     ]
@@ -84,7 +90,7 @@ def test_z2_family_matches_partition_blocks():
     for s in range(0, 5):
         for r in range(0, 5):
             k = s + r if s + r >= 1 else 1
-            fam = z2_family_eigenvalues(s, r)
+            fam = _z2_family(s, r)
             blk = block_spectrum(k, s, r).eigenpolys
             assert [(l, p) for l, p in fam] == [(l, p) for l, p, _ in blk]
 
@@ -137,8 +143,6 @@ def test_tensor_degree_law():
 
 
 def test_tensor_multiplicity_product():
-    from diagram_spectra.spectrum import multiplicities
-
     key = SignedBlockKey(k=8, s1=2, s2=1, r1=2, r2=2)
     m1 = multiplicities(2, 2)
     m2 = multiplicities(1, 2)
@@ -187,22 +191,6 @@ def test_exceptional_block_rejects_empty():
         build_exceptional_block(2, 1, 1)
     with pytest.raises(ValueError):
         build_exceptional_block(3, -1, 0)
-
-
-def test_exceptional_offdiag_reduces_to_diag_at_zero_drop():
-    for k, s1, s2 in [(2, 0, 0), (4, 1, 0), (5, 1, 1)]:
-        cap = k - s1 - s2
-        for rp1 in range(1, cap + 1):
-            rp2 = cap - rp1
-            assert exceptional_offdiag_poly(k, s1, s2, rp1, rp2, 0, 0) == \
-                exceptional_diag_poly(k, s1, s2, rp1)
-
-
-def test_exceptional_offdiag_range():
-    with pytest.raises(ValueError):
-        exceptional_offdiag_poly(4, 1, 0, 2, 1, 3, 0)
-    with pytest.raises(ValueError):
-        exceptional_offdiag_poly(4, 1, 0, 2, 1, 0, 2)
 
 
 def test_json_dict_z2_block_grid():

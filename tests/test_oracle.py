@@ -178,6 +178,12 @@ def test_verify_sdm_spectrum_passes():
         assert report.failures == []
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_sdm_spectrum_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        verify_sdm_spectrum(1, 1, trials=trials)
+
+
 def test_verify_sdm_spectrum_deterministic():
     a = verify_sdm_spectrum(2, 2, trials=4, seed=9).to_json_dict()
     b = verify_sdm_spectrum(2, 2, trials=4, seed=9).to_json_dict()

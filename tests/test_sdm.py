@@ -10,7 +10,7 @@ import pytest
 
 from diagram_spectra.combinat import Subset, k_subsets
 from diagram_spectra.errors import SizeCapExceeded
-from diagram_spectra.sdm import DiagramKey, build, entry_level, substitute
+from diagram_spectra.sdm import build, substitute
 
 
 def _find_relabeling(got, want):
@@ -84,28 +84,6 @@ def test_build_2_2_matches_published_display():
 def test_build_3_2_matches_published_display():
     got = build(3, 2).levels
     assert _find_relabeling(got, GOLDEN_5_3) is not None
-
-
-def test_entry_level_examples():
-    d = lambda s, r, elems: DiagramKey(s, r, Subset(elems))
-    assert entry_level(d(1, 1, (1,)), d(1, 1, (2,))) == 0
-    assert entry_level(d(2, 2, (1, 2)), d(2, 2, (3, 4))) == 0
-    assert entry_level(d(2, 2, (1, 2)), d(2, 2, (1, 3))) == 1
-    assert entry_level(d(2, 2, (1, 2)), d(2, 2, (1, 2))) == 2
-
-
-def test_entry_level_rejects_mismatched_shapes():
-    a = DiagramKey(1, 1, Subset((1,)))
-    b = DiagramKey(1, 2, Subset((1,)))
-    with pytest.raises(ValueError):
-        entry_level(a, b)
-
-
-def test_diagram_key_validation():
-    with pytest.raises(ValueError):
-        DiagramKey(2, 1, Subset((1,)))  # wrong size
-    with pytest.raises(ValueError):
-        DiagramKey(1, 1, Subset((3,)))  # element beyond s+r
 
 
 @pytest.mark.parametrize("s,r", [(s, m - s) for m in range(1, 11) for s in range(m + 1)])

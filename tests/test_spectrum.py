@@ -8,8 +8,10 @@ from diagram_spectra.spectrum import (
     distinct_eigenvalues,
     eberlein_coefficient,
     multiplicities,
+    substituted_spectrum,
     to_json_dict,
 )
+from diagram_spectra.poly import Polynomial
 
 
 def _forms_as_strings(s, r):
@@ -102,6 +104,21 @@ def test_distinct_eigenvalues_are_distinct_forms():
                 continue
             forms = distinct_eigenvalues(s, r)
             assert len({f.coeffs for f in forms}) == len(forms)
+
+
+def test_substituted_spectrum_at_constants_is_the_closed_form():
+    values = [3, -1, 4, 1, -5]
+    for s in range(0, 5):
+        for r in range(0, 5):
+            lo = min(s, r)
+            got = substituted_spectrum(s, r, lambda s_, r_, t: Polynomial.constant(values[lo - t]))
+            if s + r == 0:
+                assert got == [(0, Polynomial.constant(values[0]), 1)]
+                continue
+            assert got == [
+                (f.l, Polynomial.constant(f.eval_at(values[: lo + 1])), f.multiplicity)
+                for f in distinct_eigenvalues(s, r)
+            ]
 
 
 def test_difference_transform_examples():
