@@ -4,15 +4,13 @@ Two primitives, neither of which shares arithmetic with the closed-form
 modules beyond the Polynomial container:
 
 * charpoly: exact characteristic polynomial det(lambda*I - M) of an integer
-  matrix by the Faddeev-LeVerrier recurrence
-      M_1 = A,  c_{n-k} = -tr(A M_k)/k,  M_{k+1} = A(M_k + c_{n-k} I),
-  where every division by the step index k is exact over the integers.
-  For small n the recurrence runs directly on Python ints. For large n the
-  same recurrence runs modulo a battery of word-sized primes (division by k
-  becomes multiplication by k^{-1} mod p) with float64 matrix products,
-  which are exact as long as n*(p-1)^2 < 2^53; the integer coefficients are
-  then recovered by CRT against a Hadamard-style bound. Same recurrence,
-  same result, minutes faster at n above ~100.
+  matrix. For small n it runs the Faddeev-LeVerrier recurrence
+      M_1 = A,  c_{n-k} = -tr(A M_k)/k,  M_{k+1} = A(M_k + c_{n-k} I)
+  directly on Python ints, where every division by the step index k is
+  exact. For larger n it reduces the matrix to Hessenberg form modulo a few
+  Mersenne primes, O(n^3) per prime instead of O(n^4), and recovers the
+  integer coefficients by CRT against a Hadamard-style bound. Both paths
+  use Python integers only.
 
 * det_poly: exact determinant of a matrix over Z[x] by fraction-free
   Bareiss elimination. The Bareiss identity guarantees every division is
@@ -29,6 +27,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from .errors import SizeCapExceeded
@@ -71,27 +71,52 @@ def _charpoly_plain(m: Sequence[Sequence[int]]) -> Polynomial:
     return Polynomial.of(c)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+# e with 2^e - 1 prime (tests re-check by Lucas-Lehmer); they cover a 19168-bit
+# coefficient bound, e.g. side 300 with |entries| < 2^55
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+
+
+def _charpoly_mod(m: Sequence[Sequence[int]], p: int) -> list[int]:
+    """Coefficients (low to high) of charpoly(m) mod the prime p: reduce m to
+    Hessenberg form H by similarity, then expand det(lambda*I - H) by
+    P_{k+1} = (lambda - h_kk) P_k - sum_{i<k} h_ik h_{i+1,i}...h_{k,k-1} P_i."""
+    n = len(m)
+    a = [[v % p for v in row] for row in m]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if a[i][j]), None)
+        if piv is None:
+            continue
+        a[piv], a[j + 1] = a[j + 1], a[piv]
+        for row in a:
+            row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = pow(a[j + 1][j], -1, p)
+        pivot_tail = a[j + 1][j:]
+        fs = [0] * (j + 2) + [a[i][j] * inv % p for i in range(j + 2, n)]
+        # row_i -= f_i row_{j+1} for all i first, then col_{j+1} += sum_i f_i col_i:
+        # these eliminations commute, so the batched order is the same similarity
+        for row, f in zip(a[j + 2 :], fs[j + 2 :]):
+            if f:
+                row[j:] = [(x - f * y) % p for x, y in zip(row[j:], pivot_tail)]
+        for row in a:
+            row[j + 1] = (row[j + 1] + sum(map(mul, fs, row))) % p
+    polys = [[1]]
+    for k in range(n):
+        acc = [0] + polys[k]
+        acc[: k + 1] = [x - a[k][k] * c for x, c in zip(acc, polys[k])]
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * a[i + 1][i] % p
+            if not t:
+                break
+            coef = t * a[i][k] % p
+            acc[: i + 1] = [x - coef * c for x, c in zip(acc, polys[i])]
+        polys.append([v % p for v in acc])
+    return polys[n]
 
 
 def _charpoly_crt(m: Sequence[Sequence[int]]) -> Polynomial:
-    """Faddeev-LeVerrier modulo primes, combined by CRT.
-
-    Exactness: with entries reduced into [0, p) and p <= sqrt((2^53-1)/n),
-    every float64 dot product stays below 2^53, so the BLAS matmul is an
-    exact integer computation.
-    """
-    # imported here so that importing the package does not load numpy
-    import numpy as np
-
+    """charpoly modulo the fewest leading Mersenne primes whose product passes
+    twice a Hadamard bound on the coefficients, combined by CRT."""
     n = len(m)
     maxabs = max((abs(v) for row in m for v in row), default=0)
     if maxabs == 0:
@@ -106,33 +131,11 @@ def _charpoly_crt(m: Sequence[Sequence[int]]) -> Polynomial:
         bits = max(bits, hk)
     bits += 2  # sign and slack
 
-    p_hi = math.isqrt((2**53 - 1) // n)
-    primes: list[int] = []
-    got = 0.0
-    p = p_hi
-    while got <= bits:
-        if _is_prime(p):
-            primes.append(p)
-            got += math.log2(p)
-        p -= 1
-        if p < n + 2:
-            raise RuntimeError("prime pool exhausted; matrix too large for CRT path")
-
-    a_int = np.array(m, dtype=object)
-    residues: list[list[int]] = []
-    for p in primes:
-        a = np.asarray(a_int % p, dtype=np.float64)
-        mk = a.copy()
-        c = [0] * (n + 1)
-        c[n] = 1
-        for k in range(1, n + 1):
-            t = int(np.trace(mk)) % p
-            ck = (-t * pow(k, -1, p)) % p
-            c[n - k] = ck
-            if k < n:
-                np.fill_diagonal(mk, (mk.diagonal() + ck) % p)
-                mk = (a @ mk) % p
-        residues.append(c)
+    covered = [0, *accumulate(_MERSENNE_EXPONENTS)]  # bits covered before each prime
+    if covered[-1] <= bits:
+        raise RuntimeError("prime pool exhausted; matrix too large for CRT path")
+    primes = [2**e - 1 for e, got in zip(_MERSENNE_EXPONENTS, covered) if got <= bits]
+    residues = [_charpoly_mod(m, p) for p in primes]
 
     coeffs = []
     for idx in range(n + 1):

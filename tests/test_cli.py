@@ -126,6 +126,24 @@ def test_cli_import_does_not_load_numpy():
     assert proc.stdout == "False\n"
 
 
+def test_cli_verify_past_plain_cutoff_does_not_load_numpy():
+    # side C(7,3) = 35 takes the modular charpoly path
+    src = str(Path(diagram_spectra.__file__).parents[1])
+    code = (
+        "import sys; from diagram_spectra.cli import sdm_main; "
+        "code = sdm_main(['verify', '--s', '3', '--r', '4', '--out', 'csv']); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_sdm_byte_identical(capsys):
     sdm_main(["eig", "--s", "3", "--r", "2"])
     first = capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 from diagram_spectra import sdm
 from diagram_spectra.errors import SizeCapExceeded
 from diagram_spectra.oracle import (
+    _MERSENNE_EXPONENTS,
     _charpoly_crt,
     _charpoly_plain,
     charpoly,
@@ -69,6 +70,31 @@ def test_charpoly_crt_large_entries():
     rng = random.Random(11)
     m = [[rng.randint(-10**6, 10**6) for _ in range(6)] for _ in range(6)]
     assert _charpoly_crt(m) == _charpoly_plain(m)
+
+
+def test_mersenne_exponents_are_prime():
+    # Lucas-Lehmer: 2^e - 1 (e an odd prime) is prime iff s_{e-2} == 0 mod it
+    for e in _MERSENNE_EXPONENTS:
+        q = 2**e - 1
+        v = 4
+        for _ in range(e - 2):
+            v = (v * v - 2) % q
+        assert v == 0, f"2^{e} - 1 is not prime"
+
+
+def test_charpoly_crt_pivots_and_zero_columns():
+    # Hessenberg reduction must swap rows/columns to find a pivot and skip
+    # columns that are already zero below the subdiagonal
+    rng = random.Random(29)
+    n = 15
+    perm = list(range(n))
+    rng.shuffle(perm)
+    permutation = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+    nilpotent = [[rng.randint(-9, 9) if j > i + 1 else 0 for j in range(n)] for i in range(n)]
+    sparse = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+    sparse[3] = [0] * n
+    for m in (permutation, nilpotent, sparse):
+        assert _charpoly_crt(m) == _charpoly_plain(m)
 
 
 def test_charpoly_constant_term_is_signed_det():
