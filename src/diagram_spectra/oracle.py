@@ -4,13 +4,12 @@ Two primitives, neither of which shares arithmetic with the closed-form
 modules beyond the Polynomial container:
 
 * charpoly: exact characteristic polynomial det(lambda*I - M) of an integer
-  matrix. For small n it runs the Faddeev-LeVerrier recurrence
-      M_1 = A,  c_{n-k} = -tr(A M_k)/k,  M_{k+1} = A(M_k + c_{n-k} I)
-  directly on Python ints, where every division by the step index k is
-  exact. For larger n it reduces the matrix to Hessenberg form modulo a few
-  Mersenne primes, O(n^3) per prime instead of O(n^4), and recovers the
-  integer coefficients by CRT against a Hadamard-style bound. Both paths
-  use Python integers only.
+  matrix, one path for every side. It reduces the matrix to Hessenberg form
+  modulo a few Mersenne primes, O(n^3) per prime, and recovers the integer
+  coefficients by CRT once the primes' product passes twice the integer
+  Hadamard bound prod_i (isqrt(||row_i||^2) + 2). The prime pool caps that
+  bound at about 19168 bits; past it charpoly raises SizeCapExceeded.
+  Python integers only.
 
 * det_poly: exact determinant of a matrix over Z[x] by fraction-free
   Bareiss elimination. The Bareiss identity guarantees every division is
@@ -27,7 +26,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
@@ -37,9 +35,6 @@ from .poly import ONE, ZERO, Polynomial
 DEFAULT_CHARPOLY_CAP = 300
 DEFAULT_DET_CAP = 120
 
-# above this side length charpoly switches to the CRT variant of the recurrence
-_PLAIN_FL_MAX = 12
-
 
 def _check_square(m: Sequence[Sequence[object]]) -> int:
     n = len(m)
@@ -47,28 +42,6 @@ def _check_square(m: Sequence[Sequence[object]]) -> int:
         if len(row) != n:
             raise ValueError(f"matrix is not square: row of length {len(row)}, side {n}")
     return n
-
-
-def _charpoly_plain(m: Sequence[Sequence[int]]) -> Polynomial:
-    """Faddeev-LeVerrier over Python integers."""
-    n = len(m)
-    c = [0] * (n + 1)
-    c[n] = 1
-    mk = [list(row) for row in m]
-    for k in range(1, n + 1):
-        t = sum(mk[i][i] for i in range(n))
-        q, rem = divmod(-t, k)
-        if rem:
-            raise AssertionError("Faddeev-LeVerrier division must be exact")
-        c[n - k] = q
-        if k < n:
-            for i in range(n):
-                mk[i][i] += q
-            mk = [
-                [sum(m[i][h] * mk[h][j] for h in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-    return Polynomial.of(c)
 
 
 # e with 2^e - 1 prime (tests re-check by Lucas-Lehmer); they cover a 19168-bit
@@ -114,55 +87,42 @@ def _charpoly_mod(m: Sequence[Sequence[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def _charpoly_crt(m: Sequence[Sequence[int]]) -> Polynomial:
-    """charpoly modulo the fewest leading Mersenne primes whose product passes
-    twice a Hadamard bound on the coefficients, combined by CRT."""
-    n = len(m)
-    maxabs = max((abs(v) for row in m for v in row), default=0)
-    if maxabs == 0:
-        return Polynomial.of([0] * n + [1])
-
-    # |c_{n-k}| <= C(n,k) * (maxabs*sqrt(k))^k  (sum of k x k principal minors)
-    bits = 2.0
-    for k in range(1, n + 1):
-        hk = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        hk /= math.log(2)
-        hk += k * (math.log2(maxabs) + 0.5 * math.log2(k))
-        bits = max(bits, hk)
-    bits += 2  # sign and slack
-
-    covered = [0, *accumulate(_MERSENNE_EXPONENTS)]  # bits covered before each prime
-    if covered[-1] <= bits:
-        raise RuntimeError("prime pool exhausted; matrix too large for CRT path")
-    primes = [2**e - 1 for e, got in zip(_MERSENNE_EXPONENTS, covered) if got <= bits]
-    residues = [_charpoly_mod(m, p) for p in primes]
-
-    coeffs = []
-    for idx in range(n + 1):
-        val, mod = 0, 1
-        for c, p in zip(residues, primes):
-            # incremental CRT: adjust val to match c[idx] mod p
-            diff = (c[idx] - val) % p
-            val += mod * ((diff * pow(mod, -1, p)) % p)
-            mod *= p
-        if val > mod // 2:
-            val -= mod
-        coeffs.append(val)
-    if coeffs[n] != 1:
-        raise AssertionError("characteristic polynomial must be monic")
-    return Polynomial.of(coeffs)
-
-
 def charpoly(m: Sequence[Sequence[int]], max_size: int = DEFAULT_CHARPOLY_CAP) -> Polynomial:
-    """Exact det(lambda*I - m), monic of degree n."""
+    """Exact det(lambda*I - m), monic of degree n: charpoly modulo the fewest
+    leading Mersenne primes whose product passes twice the integer Hadamard
+    bound prod_i (isqrt(||row_i||^2) + 2), combined by CRT.
+
+    Raises SizeCapExceeded when the side passes max_size or when twice the
+    bound passes the product of the whole prime pool (about 2^19168)."""
     n = _check_square(m)
     if n > max_size:
         raise SizeCapExceeded("charpoly", n, max_size)
-    if n == 0:
-        return ONE
-    if n <= _PLAIN_FL_MAX:
-        return _charpoly_plain(m)
-    return _charpoly_crt(m)
+    # Hadamard: |c_{n-k}| <= e_k(row norms) <= prod_i (1 + ||row_i||) < bound,
+    # since isqrt(v) + 2 > sqrt(v) + 1
+    bound = 1
+    for row in m:
+        bound *= math.isqrt(sum(v * v for v in row)) + 2
+    primes, product = [], 1
+    for e in _MERSENNE_EXPONENTS:
+        if product > 2 * bound:
+            break
+        primes.append(2**e - 1)
+        product *= primes[-1]
+    if product <= 2 * bound:
+        raise SizeCapExceeded(
+            "charpoly coefficient bound in bits",
+            (2 * bound).bit_length(),
+            sum(_MERSENNE_EXPONENTS),
+        )
+    residues = [_charpoly_mod(m, p) for p in primes]
+    # CRT: each basis element is 1 mod its own prime and 0 mod the others;
+    # the symmetric residue mod the product is the coefficient itself
+    basis = [product // p * pow(product // p, -1, p) for p in primes]
+    half = product // 2
+    coeffs = [(sum(map(mul, col, basis)) + half) % product - half for col in zip(*residues)]
+    if coeffs[n] != 1:
+        raise AssertionError("characteristic polynomial must be monic")
+    return Polynomial.of(coeffs)
 
 
 def det_by_minors(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -267,10 +227,11 @@ def verify_sdm_spectrum(
     """Check the closed-form spectrum of A^{s+r,s} against exact charpolys.
 
     Each trial substitutes pseudo-random integers in [-9, 9] for the symbols
-    x_0..x_min and compares charpoly(substituted matrix) with
-    prod_l (lambda - E_l)^{m_l}. Equality must be exact, multiplicities
-    included. At least one trial is required: zero trials would certify
-    nothing.
+    x_0..x_min, redrawn until the E_l are pairwise distinct (two equal E_l
+    would hide a wrong split of multiplicity between them), and compares
+    charpoly(substituted matrix) with prod_l (lambda - E_l)^{m_l}. Equality
+    must be exact, multiplicities included. At least one trial is required:
+    zero trials would certify nothing.
     """
     from . import sdm, spectrum
 
@@ -281,12 +242,16 @@ def verify_sdm_spectrum(
     rng = random.Random(f"{seed}:{s}:{r}")
     failures = []
     for trial in range(trials):
-        values = [rng.randint(-9, 9) for _ in range(matrix.min_level + 1)]
-        inst = sdm.substitute(matrix, values)
-        got = charpoly(inst, max_size=max_size)
+        # the forms are distinct linear forms, so a redraw soon separates them
+        while True:
+            values = [rng.randint(-9, 9) for _ in range(matrix.min_level + 1)]
+            eigs = [f.eval_at(values) for f in forms]
+            if len(set(eigs)) == len(eigs):
+                break
+        got = charpoly(sdm.substitute(matrix, values), max_size=max_size)
         expected = ONE
-        for f in forms:
-            expected = expected * Polynomial.x_minus(f.eval_at(values)).pow(f.multiplicity)
+        for e, f in zip(eigs, forms):
+            expected = expected * Polynomial.x_minus(e).pow(f.multiplicity)
         if got != expected:
             failures.append(
                 {

@@ -135,29 +135,27 @@ class Polynomial:
         return Polynomial.of(qout)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[d]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if d == 0:
-                term = str(mag)
-            elif d == 1:
-                term = "x" if mag == 1 else f"{mag}x"
-            else:
-                term = f"x^{d}" if mag == 1 else f"{mag}x^{d}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        terms = reversed(list(enumerate(self.coeffs)))
+        return format_terms((c, {0: "", 1: "x"}.get(d, f"x^{d}")) for d, c in terms)
 
     def to_json(self) -> list[str]:
         """Decimal strings ascending by degree, safe for any JSON reader."""
         return [str(c) for c in self.coeffs]
+
+
+def format_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """Join (coefficient, name) terms, highest first, as "3x^2 - x + 1".
+
+    Zero terms are skipped, a unit coefficient is dropped before a nonempty
+    name, and an all-zero input gives "0"."""
+    parts: list[str] = []
+    for c, name in terms:
+        if c:
+            mag = abs(c)
+            term = name if mag == 1 and name else f"{mag}{name}"
+            sign = ("+ " if c > 0 else "- ") if parts else ("" if c > 0 else "-")
+            parts.append(sign + term)
+    return " ".join(parts) or "0"
 
 
 ZERO = Polynomial(())

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .combinat import binomial
-from .poly import ZERO, Polynomial
+from .poly import ZERO, Polynomial, format_terms
 
 
 def eberlein_coefficient(s: int, r: int, l: int, t: int) -> int:
@@ -67,18 +67,7 @@ class EigenvalueForm:
         return sum(c * v for c, v in zip(self.coeffs, values))
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for v in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[v]
-            if c == 0:
-                continue
-            mag = abs(c)
-            term = f"x{v}" if mag == 1 else f"{mag}x{v}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts) if parts else "0"
+        return format_terms((c, f"x{v}") for v, c in reversed(list(enumerate(self.coeffs))))
 
 
 def distinct_eigenvalues(s: int, r: int) -> list[EigenvalueForm]:

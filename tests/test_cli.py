@@ -127,7 +127,7 @@ def test_cli_import_does_not_load_numpy():
 
 
 def test_cli_verify_past_plain_cutoff_does_not_load_numpy():
-    # side C(7,3) = 35 takes the modular charpoly path
+    # a whole verify run at side C(7,3) = 35 loads no numpy either
     src = str(Path(diagram_spectra.__file__).parents[1])
     code = (
         "import sys; from diagram_spectra.cli import sdm_main; "

@@ -46,7 +46,7 @@ def corpus() -> list[list[str]]:
         for trials, seed in ((1, 0), (3, 7)):
             argv = ["sdm", "verify", "--s", str(s), "--r", str(r)]
             out += _with_formats(argv + ["--trials", str(trials), "--seed", str(seed)])
-    # sides 35 and 70 take the CRT charpoly path
+    # sides 35 and 70: the largest verify sides in the corpus
     out += _with_formats(["sdm", "verify", "--s", "3", "--r", "4", "--trials", "1"])
     out += _with_formats(["sdm", "verify", "--s", "4", "--r", "4", "--trials", "1"])
 

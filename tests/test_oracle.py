@@ -1,13 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from diagram_spectra import sdm
+from diagram_spectra import sdm, spectrum
 from diagram_spectra.errors import SizeCapExceeded
 from diagram_spectra.oracle import (
     _MERSENNE_EXPONENTS,
-    _charpoly_crt,
-    _charpoly_plain,
     charpoly,
     det_by_minors,
     det_poly,
@@ -20,6 +19,14 @@ from diagram_spectra.poly import ONE, ZERO, Polynomial, X, factor_product
 
 def _rand_int_matrix(n, rng, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+
+
+def _bareiss_charpoly(m):
+    # det(lambda*I - m) by Bareiss over Z[x]: no arithmetic shared with charpoly
+    n = len(m)
+    return det_poly(
+        [[Polynomial.of([-m[i][j], int(i == j)]) for j in range(n)] for i in range(n)]
+    )
 
 
 def test_charpoly_identity():
@@ -53,23 +60,38 @@ def test_charpoly_matches_sdm_prediction():
     assert charpoly(inst) == expected
 
 
-def test_charpoly_plain_crt_agree():
+def test_charpoly_matches_bareiss_reference():
     rng = random.Random(20240917)
     for n in (1, 2, 3, 5, 8, 13):
         m = _rand_int_matrix(n, rng)
-        assert _charpoly_plain(m) == _charpoly_crt(m), f"paths disagree at n={n}"
-
-
-def test_charpoly_dispatch_boundary():
-    rng = random.Random(3)
-    m = _rand_int_matrix(13, rng)  # above _PLAIN_FL_MAX, dispatches to CRT
-    assert charpoly(m) == _charpoly_plain(m)
+        assert charpoly(m) == _bareiss_charpoly(m), f"disagree at n={n}"
 
 
 def test_charpoly_crt_large_entries():
     rng = random.Random(11)
     m = [[rng.randint(-10**6, 10**6) for _ in range(6)] for _ in range(6)]
-    assert _charpoly_crt(m) == _charpoly_plain(m)
+    assert charpoly(m) == _bareiss_charpoly(m)
+
+
+def test_charpoly_hadamard_bound_is_met():
+    # c times the Sylvester-Hadamard matrix of side 8 has |det| = c^8 8^4, which
+    # is Hadamard's bound exactly: the largest coefficient the bound must cover
+    h = [[1]]
+    for _ in range(3):
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    for c in (1, 3, 2**100, 2**200 + 1):
+        m = [[c * v for v in row] for row in h]
+        got = charpoly(m)
+        assert got == _bareiss_charpoly(m)
+        assert abs(got.coeffs[0]) == c**8 * 8**4
+
+
+def test_charpoly_coefficient_cap():
+    # past the prime pool (about 2^19168) the bound is a cap, not a traceback
+    with pytest.raises(SizeCapExceeded, match="coefficient bound"):
+        charpoly([[2**20000]])
+    with pytest.raises(SizeCapExceeded, match="coefficient bound"):
+        charpoly([[2**1500] * 13 for _ in range(13)])
 
 
 def test_mersenne_exponents_are_prime():
@@ -94,7 +116,7 @@ def test_charpoly_crt_pivots_and_zero_columns():
     sparse = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
     sparse[3] = [0] * n
     for m in (permutation, nilpotent, sparse):
-        assert _charpoly_crt(m) == _charpoly_plain(m)
+        assert charpoly(m) == _bareiss_charpoly(m)
 
 
 def test_charpoly_constant_term_is_signed_det():
@@ -208,6 +230,18 @@ def test_verify_sdm_spectrum_passes():
 def test_verify_sdm_spectrum_rejects_no_trials(trials):
     with pytest.raises(ValueError, match="trials"):
         verify_sdm_spectrum(1, 1, trials=trials)
+
+
+@pytest.mark.parametrize("s, r", [(3, 1), (1, 4), (4, 1)])
+def test_verify_sdm_spectrum_trials_separate_families(monkeypatch, s, r):
+    # with the multiplicities of families 0 and 1 swapped, a substitution with
+    # E_0 == E_1 would pass; every trial draws distinct E_l, so every trial fails
+    forms = spectrum.distinct_eigenvalues(s, r)
+    m0, m1 = forms[0].multiplicity, forms[1].multiplicity
+    swapped = [replace(forms[0], multiplicity=m1), replace(forms[1], multiplicity=m0)]
+    monkeypatch.setattr(spectrum, "distinct_eigenvalues", lambda s, r: swapped + forms[2:])
+    report = verify_sdm_spectrum(s, r, trials=5, seed=0)
+    assert [f["trial"] for f in report.failures] == [0, 1, 2, 3, 4]
 
 
 def test_verify_sdm_spectrum_deterministic():

@@ -8,6 +8,7 @@ from diagram_spectra.poly import (
     ZERO,
     Polynomial,
     factor_product,
+    format_terms,
     integer_roots,
 )
 
@@ -129,6 +130,17 @@ def test_str():
     assert str(Polynomial.of([6, -5, 1])) == "x^2 - 5x + 6"
     assert str(Polynomial.of([0, -1])) == "-x"
     assert str(Polynomial.of([0, 0, 3])) == "3x^2"
+
+
+def test_format_terms():
+    assert format_terms([]) == "0"
+    assert format_terms([(0, "x"), (0, "")]) == "0"
+    assert format_terms([(1, "")]) == "1"
+    assert format_terms([(-1, "")]) == "-1"
+    assert format_terms([(-1, "x2"), (0, "x1"), (3, "x0")]) == "-x2 + 3x0"
+    assert format_terms([(2, "x^3"), (-1, "x"), (-7, "")]) == "2x^3 - x - 7"
+    assert str(ONE) == "1"
+    assert str(Polynomial.of([-1, 0, -1])) == "-x^2 - 1"
 
 
 def test_json_roundtrip():
