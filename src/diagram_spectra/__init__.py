@@ -23,7 +23,6 @@ from .gram_partition import (
     block_spectrum,
     build_gram,
     enumerate_half_diagrams,
-    gram_entry,
     product_form,
     semisimple_exceptions,
     x_substitution_poly,
@@ -74,7 +73,6 @@ __all__ = [
     "eberlein_coefficient",
     "enumerate_half_diagrams",
     "factor_product",
-    "gram_entry",
     "integer_roots",
     "k_subsets",
     "multiplicities",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 def binomial(n: int, k: int) -> int:
@@ -31,17 +30,16 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, b: int) -> int:
     """Number of set partitions of an n-set into exactly b nonempty blocks."""
     if n < 0 or b < 0:
         raise ValueError(f"stirling2: arguments must be nonnegative, got ({n}, {b})")
-    if n == 0:
-        return 1 if b == 0 else 0
-    if b == 0 or b > n:
+    if b > n:
         return 0
-    # S(n,b) = b*S(n-1,b) + S(n-1,b-1): point n is alone or joins a block
-    return b * stirling2(n - 1, b) + stirling2(n - 1, b - 1)
+    # inclusion-exclusion over the blocks left empty by a map onto b labels,
+    # divided by the b! labellings; 0**0 == 1 covers S(0, 0) = 1
+    total = sum((-1) ** j * math.comb(b, j) * (b - j) ** n for j in range(b + 1))
+    return total // math.factorial(b)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,13 @@ A half diagram on k points is a set partition of {1..k} into s+r blocks
 together with a choice of s of those blocks as through classes; the other r
 blocks are horizontal edges. The Gram matrix G_s is indexed by all such half
 diagrams (there are f_s = sum_r stirling2(k,s+r)*C(s+r,s) of them) and its
-(i,j) entry records the diagram product U_i * U_j:
-
-* form the join of the two partitions (finest common coarsening);
-* if the s through classes of each side do not pair off bijectively through
-  join blocks, the propagating number of the product has dropped and the
-  entry is 0;
-* otherwise the entry is x^m where m counts the join blocks containing no
-  through class of either side (each such block collapses to a loop worth a
-  factor of x in the diagram product).
+(i,j) entry records the diagram product U_i * U_j. Let the join of the two
+partitions (their finest common coarsening) have c blocks. If the s through
+classes of each side land on s distinct join blocks, the same s for both
+sides, the entry is x^(c-s): every other join block collapses to a loop worth
+a factor of x. Otherwise the propagating number of the product has dropped
+and the entry is 0. The entry depends on the two partitions only through
+their join, so build_gram forms one join per pair of partitions.
 
 Paired row and column operations reduce G_s to a block-diagonal matrix with
 stirling2(k,s+r) identical blocks for each r, and each block is a symmetric
@@ -46,12 +44,13 @@ suite exercises exactly that corner.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from .combinat import SetPartition, Subset, binomial, k_subsets, set_partitions, stirling2
 from .errors import SizeCapExceeded
-from .poly import ZERO, Polynomial, factor_product, integer_roots
+from .poly import X, ZERO, Polynomial, factor_product, integer_roots
 from .spectrum import substituted_spectrum
 
 DEFAULT_MAX_SIZE = 3000
@@ -90,16 +89,20 @@ class HalfDiagram:
         return "".join(parts)
 
 
+def _check_shape(k: int, s: int) -> None:
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    if not (0 <= s <= k):
+        raise ValueError(f"need 0 <= s <= k, got s={s}, k={k}")
+
+
 def enumerate_half_diagrams(k: int, s: int) -> list[HalfDiagram]:
     """All half diagrams on k points with s through classes.
 
     Grouped by ascending r; within a group, partition order is RGS-lex and
     through choices follow k_subsets order. This is the row order of G_s.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if not (0 <= s <= k):
-        raise ValueError(f"need 0 <= s <= k, got s={s}, k={k}")
+    _check_shape(k, s)
     out: list[HalfDiagram] = []
     for r in range(0, k - s + 1):
         nb = s + r
@@ -112,50 +115,19 @@ def enumerate_half_diagrams(k: int, s: int) -> list[HalfDiagram]:
     return out
 
 
-def gram_entry(h_i: HalfDiagram, h_j: HalfDiagram) -> Polynomial:
-    """Entry of G_s for the product U_i * U_j: x^loops, or 0 on propagating
-    collapse."""
-    if h_i.k != h_j.k:
-        raise ValueError(f"mismatched k: {h_i.k} vs {h_j.k}")
-    if h_i.s != h_j.s:
-        raise ValueError(f"mismatched s: {h_i.s} vs {h_j.s}")
-    k, s = h_i.k, h_i.s
-    # union-find join of the two partitions over points 0..k-1
-    parent = list(range(k))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for rgs in (h_i.partition.block_assignment, h_j.partition.block_assignment):
-        first: dict[int, int] = {}
-        for pt, lab in enumerate(rgs):
-            if lab in first:
-                ra, rb = find(first[lab]), find(pt)
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                first[lab] = pt
-
-    thr_i = set(h_i.through_blocks.elements)
-    thr_j = set(h_j.through_blocks.elements)
-    has_i: set[int] = set()
-    has_j: set[int] = set()
-    roots: set[int] = set()
-    for pt in range(k):
-        root = find(pt)
-        roots.add(root)
-        if h_i.partition.block_assignment[pt] + 1 in thr_i:
-            has_i.add(root)
-        if h_j.partition.block_assignment[pt] + 1 in thr_j:
-            has_j.add(root)
-    matched = len(has_i & has_j)
-    if matched < s:
-        return ZERO
-    loops = sum(1 for root in roots if root not in has_i and root not in has_j)
-    return Polynomial.of([0] * loops + [1])
+def _join(p: SetPartition, q: SetPartition) -> tuple[list[int], list[int], int]:
+    """Join of two set partitions of the same points, as a union-find over
+    their blocks: a label below p.block_count + q.block_count for the join
+    block of each block of p and of each block of q, and the number of join
+    blocks."""
+    bp = p.block_count
+    comp = list(range(bp + q.block_count))
+    # each point ties its block in p to its block in q; merge by relabelling
+    for a, b in zip(p.block_assignment, q.block_assignment):
+        old, new = comp[bp + b], comp[a]
+        if old != new:
+            comp = [new if c == old else c for c in comp]
+    return comp[:bp], comp[bp:], len(set(comp))
 
 
 @dataclass(frozen=True)
@@ -171,16 +143,33 @@ class GramMatrix:
 
 
 def build_gram(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> GramMatrix:
-    diagrams = enumerate_half_diagrams(k, s)
-    n = len(diagrams)
+    """G_s on k points, in the row order of enumerate_half_diagrams. The cap
+    is checked on the side before anything is enumerated."""
+    _check_shape(k, s)
+    n = sum(stirling2(k, s + r) * binomial(s + r, s) for r in range(0, k - s + 1))
     if n > max_size:
         raise SizeCapExceeded(f"G_{s} on {k} points", n, max_size)
+    diagrams = enumerate_half_diagrams(k, s)
+    # one run per partition, of (row, through choice); a partition's rows are consecutive
+    runs = [
+        (p, [(i, d.through_blocks.elements) for i, d in run])
+        for p, run in itertools.groupby(enumerate(diagrams), key=lambda e: e[1].partition)
+    ]
+    powers = [X.pow(m) for m in range(k + 1)]
     rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            e = gram_entry(diagrams[i], diagrams[j])
-            rows[i][j] = e
-            rows[j][i] = e
+    for a, (p, thr_p) in enumerate(runs):
+        for q, thr_q in runs[a:]:
+            comp_p, comp_q, c = _join(p, q)
+            # a choice's mask has one bit per join block it lands on; a sum of
+            # s powers of two has s bits only when the powers are distinct
+            masks_q = [(j, sum(1 << comp_q[t - 1] for t in thr)) for j, thr in thr_q]
+            for i, thr in thr_p:
+                mask = sum(1 << comp_p[t - 1] for t in thr)
+                if mask.bit_count() != s:
+                    continue
+                for j, other in masks_q:
+                    if other == mask:
+                        rows[i][j] = rows[j][i] = powers[c - s]
     return GramMatrix(
         k=k, s=s, diagrams=tuple(diagrams), entries=tuple(tuple(row) for row in rows)
     )
@@ -222,8 +211,7 @@ def product_form(s: int, r: int, l: int) -> Polynomial:
 def semisimple_exceptions(k: int, s: int) -> set[int]:
     """Integer x at which det G_s vanishes: union of integer roots over all
     block eigenpolynomials."""
-    if k < 1 or not (0 <= s <= k):
-        raise ValueError(f"need k >= 1 and 0 <= s <= k, got ({k}, {s})")
+    _check_shape(k, s)
     roots: set[int] = set()
     for r in range(0, k - s + 1):
         for _, e_l, mult in block_spectrum(k, s, r).eigenpolys:

@@ -12,10 +12,11 @@ horizontal in the other. f never exceeds min(s,r): it is at most s by
 definition, and at most r because two s-subsets of an (s+r)-set overlap in
 at least s-r elements.
 
-Entries are stored as integer levels (level v stands for the symbol x_v);
-`substitute` turns a level matrix into a concrete matrix over whatever ring
-the caller supplies values from (integers for the verification oracle,
-polynomials for Gram-block work).
+Entries are stored as integer levels: level v stands for the symbol x_v, so
+the (i,j) level is min(s,r) - s + |through_i cap through_j|. `substitute`
+turns a level matrix into a concrete matrix over whatever ring the caller
+supplies values from (integers for the verification oracle, polynomials for
+Gram-block work).
 
 Rows and columns follow k_subsets(s+r, s), i.e. lexicographic order of the
 through-position sets. Any fixed order would do mathematically; this one is
@@ -70,11 +71,10 @@ def build(s: int, r: int, max_size: int = DEFAULT_MAX_SIZE) -> EntryMatrix:
     n = binomial(s + r, s)
     if n > max_size:
         raise SizeCapExceeded(f"A^{{{s + r},{s}}}", n, max_size)
-    throughs = [frozenset(t.elements) for t in k_subsets(s + r, s)]
-    lo = min(s, r)
-    rows = []
-    for ti in throughs:
-        rows.append(tuple(lo - (s - len(ti & tj)) for tj in throughs))
+    # through sets as bitmasks, so an overlap is one AND and one bit count
+    masks = [sum(1 << e for e in t.elements) for t in k_subsets(s + r, s)]
+    base = min(s, r) - s
+    rows = [tuple(base + (mi & mj).bit_count() for mj in masks) for mi in masks]
     return EntryMatrix(s=s, r=r, n=n, levels=tuple(rows))
 
 

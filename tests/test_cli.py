@@ -233,6 +233,31 @@ def test_gram_partition_cap(capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
+def test_gram_partition_det_cap_exits_before_enumerating(capsys):
+    # side 3 535 027 against the det cap of 120
+    assert gram_main(["partition", "--k", "11", "--s", "1", "--det"]) == EXIT_CAP
+    assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_gram_partition_many_points_no_traceback():
+    # stirling2(1200, 1199) is far past the interpreter's recursion limit
+    src = str(Path(diagram_spectra.__file__).parents[1])
+    code = (
+        "import sys; from diagram_spectra.cli import gram_main; "
+        "sys.exit(gram_main(['partition', '--k', '1200', '--s', '1199']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == EXIT_OK
+    assert "Traceback" not in proc.stderr
+    data = json.loads(proc.stdout)
+    assert [b["copies"] for b in data["blocks"]] == [1200 * 1199 // 2, 1]
+
+
 def test_gram_z2_json(capsys):
     code = gram_main(["z2", "--k", "2", "--s1", "1", "--s2", "0"])
     assert code == EXIT_OK

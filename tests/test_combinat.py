@@ -36,6 +36,16 @@ def test_stirling2_values():
     assert stirling2(0, 0) == 1
     assert stirling2(4, 0) == 0
     assert stirling2(3, 5) == 0
+    # one block of two points, the rest singletons; far past the recursion limit
+    assert stirling2(1200, 1199) == binomial(1200, 2)
+    assert stirling2(1200, 1) == 1
+
+
+def test_stirling2_recurrence():
+    # S(n,b) = b*S(n-1,b) + S(n-1,b-1): point n is alone or joins a block
+    for n in range(1, 40):
+        for b in range(1, n + 2):
+            assert stirling2(n, b) == b * stirling2(n - 1, b) + stirling2(n - 1, b - 1)
 
 
 def test_k_subsets_examples():

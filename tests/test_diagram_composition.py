@@ -4,15 +4,17 @@ The helpers in this module rebuild G_s from first principles and use only
 the standard library: set partitions and half diagrams are enumerated here,
 each half diagram becomes a full partition diagram on 2k points, and the
 entry for the pair (i, j) is read off the literal diagram product d_i* . d_j
-(x^loops if the propagating number stays s, else 0). Determinants are exact
-rational elimination at integer points. The package is imported only to be
-compared against.
+(x^loops if the propagating number stays s, else 0). build_gram is compared
+with it entry by entry for every k <= 5. Determinants are exact rational
+elimination at integer points. The package is imported only to be compared
+against.
 
 The result settles the exception set of G_1 on 3 points: det = x^5 (x-2)^6
 (x-3), which is -2 at x = 1, so the set is {0, 2, 3}.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -89,21 +91,36 @@ def _propagating_number(k, diagram):
     return sum(1 for blk in diagram if min(blk) < k <= max(blk))
 
 
-def _composed_gram(k, s, x):
-    """G_s on k points at the integer x, from literal diagram products."""
-    diagrams = [
-        _half_diagram_to_full(k, blocks, list(through))
+@lru_cache(maxsize=None)
+def _composed_loops(k, s):
+    """Half diagrams on k points with s through classes, as (blocks, through
+    blocks), and the loop count of each literal product d_i* . d_j, or None
+    where the propagating number drops below s."""
+    halves = [
+        (blocks, through)
         for blocks in _set_partitions(list(range(k)))
         for through in combinations(blocks, s)
     ]
-    gram = []
+    diagrams = [_half_diagram_to_full(k, blocks, list(through)) for blocks, through in halves]
+    loops = []
     for d_i in diagrams:
         row = []
         for d_j in diagrams:
-            product, loops = _compose(k, _flip(k, d_i), d_j)
-            row.append(x**loops if _propagating_number(k, product) == s else 0)
-        gram.append(row)
-    return gram
+            product, n_loops = _compose(k, _flip(k, d_i), d_j)
+            row.append(n_loops if _propagating_number(k, product) == s else None)
+        loops.append(row)
+    return halves, loops
+
+
+def _composed_gram(k, s, x):
+    """G_s on k points at the integer x, from literal diagram products."""
+    _, loops = _composed_loops(k, s)
+    return [[0 if m is None else x**m for m in row] for row in loops]
+
+
+def _key(blocks, through):
+    """A half diagram as (set of blocks, set of through blocks)."""
+    return frozenset(map(frozenset, blocks)), frozenset(map(frozenset, through))
 
 
 def _det(matrix):
@@ -136,6 +153,28 @@ def test_composed_gram_det_matches_oracle(k):
         gram = _composed_gram(k, 1, x)
         assert len(gram) == g.n
         assert _det(gram) == oracle.eval_at(x), (k, x)
+
+
+@pytest.mark.parametrize(
+    "k, s", [(k, s) for k in range(1, 6) for s in range(0, k + 1)]
+)
+def test_build_gram_entries_match_composition(k, s):
+    """Every entry of build_gram(k, s) is x^loops of the literal product, and
+    0 exactly where the propagating number drops."""
+    halves, loops = _composed_loops(k, s)
+    index = {_key(blocks, through): i for i, (blocks, through) in enumerate(halves)}
+    g = build_gram(k, s)
+    rows = []
+    for d in g.diagrams:
+        blocks = [[p - 1 for p in blk] for blk in d.partition.blocks()]
+        through = [blocks[t - 1] for t in d.through_blocks.elements]
+        rows.append(index[_key(blocks, through)])
+    assert sorted(rows) == list(range(len(halves)))
+    for i, ri in enumerate(rows):
+        for j, rj in enumerate(rows):
+            m = loops[ri][rj]
+            expect = () if m is None else (0,) * m + (1,)
+            assert g.entries[i][j].coeffs == expect, (str(g.diagrams[i]), str(g.diagrams[j]))
 
 
 def test_composed_gram_det_closed_forms():

@@ -1,27 +1,18 @@
 import pytest
 
-from diagram_spectra.combinat import SetPartition, Subset, binomial, stirling2
+from diagram_spectra import gram_partition
+from diagram_spectra.combinat import binomial, stirling2
 from diagram_spectra.errors import SizeCapExceeded
 from diagram_spectra.gram_partition import (
-    HalfDiagram,
     block_spectrum,
     build_gram,
     enumerate_half_diagrams,
-    gram_entry,
     product_form,
     semisimple_exceptions,
     to_json_dict,
     x_substitution_poly,
 )
-from diagram_spectra.poly import ONE, ZERO, Polynomial, X
-
-
-def _hd(k, rgs, through):
-    return HalfDiagram(
-        k=k,
-        partition=SetPartition(tuple(rgs)),
-        through_blocks=Subset(tuple(through)),
-    )
+from diagram_spectra.poly import ONE, Polynomial, X
 
 
 def test_enumerate_2_1():
@@ -52,26 +43,13 @@ def test_enumerate_r_major_order():
 
 
 def test_enumerate_rejects_bad_s():
-    with pytest.raises(ValueError):
-        enumerate_half_diagrams(2, 3)
-    with pytest.raises(ValueError):
-        enumerate_half_diagrams(2, -1)
-
-
-def test_gram_entry_examples():
-    d1 = _hd(2, [0, 0], [1])      # {1,2} through
-    d2 = _hd(2, [0, 1], [1])      # {1}{2}, through {1}
-    d3 = _hd(2, [0, 1], [2])      # {1}{2}, through {2}
-    assert gram_entry(d2, d2) == X
-    assert gram_entry(d2, d3) == ZERO
-    assert gram_entry(d1, d2) == ONE
-
-
-def test_gram_entry_rejects_mismatch():
-    with pytest.raises(ValueError):
-        gram_entry(_hd(2, [0, 0], [1]), _hd(3, [0, 0, 0], [1]))
-    with pytest.raises(ValueError):
-        gram_entry(_hd(2, [0, 1], [1]), _hd(2, [0, 1], []))
+    # build_gram checks before it sizes the matrix, with the same messages
+    for k, s in [(2, 3), (2, -1), (0, 0)]:
+        with pytest.raises(ValueError) as enumerated:
+            enumerate_half_diagrams(k, s)
+        with pytest.raises(ValueError) as built:
+            build_gram(k, s)
+        assert str(built.value) == str(enumerated.value)
 
 
 def test_build_gram_2_1_golden():
@@ -107,6 +85,15 @@ def test_build_gram_diagonal_and_symmetry():
 def test_build_gram_cap():
     with pytest.raises(SizeCapExceeded):
         build_gram(4, 1, max_size=10)
+
+
+def test_build_gram_cap_checked_before_enumerating(monkeypatch):
+    def refuse(n, b):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(gram_partition, "set_partitions", refuse)
+    with pytest.raises(SizeCapExceeded):
+        build_gram(11, 1, max_size=120)
 
 
 def test_x_substitution_poly():

@@ -6,6 +6,8 @@ index bijection (found by backtracking); the bijection must also respect the
 entry rule, which pins the matrix itself, not just its multiset of entries.
 """
 
+import itertools
+
 import pytest
 
 from diagram_spectra.combinat import Subset, k_subsets
@@ -103,6 +105,15 @@ def test_shape_laws(s, r):
             counts[v] += 1
         for t in range(lo + 1):
             assert counts[lo - t] == binomial(s, t) * binomial(r, t)
+
+
+@pytest.mark.parametrize("s,r", [(s, m - s) for m in range(1, 9) for s in range(m + 1)])
+def test_entry_rule(s, r):
+    # levels[i][j] = min(s,r) - s + |T_i cap T_j|, T_i in lexicographic order
+    throughs = [set(t) for t in itertools.combinations(range(1, s + r + 1), s)]
+    assert build(s, r).levels == tuple(
+        tuple(min(s, r) - s + len(ti & tj) for tj in throughs) for ti in throughs
+    )
 
 
 @pytest.mark.parametrize("s,r", [(1, 2), (2, 3), (3, 1), (2, 2), (0, 4)])
