@@ -109,7 +109,11 @@ def _sdm_build(args: argparse.Namespace) -> Result:
 
 
 def _sdm_eig(args: argparse.Namespace) -> Result:
-    forms = spectrum.distinct_eigenvalues(args.s, args.r)
+    data = spectrum.to_json_dict(args.s, args.r)
+    forms = [
+        spectrum.EigenvalueForm(e["l"], tuple(e["coeffs"]), e["multiplicity"])
+        for e in data["eigenvalues"]
+    ]
 
     def csv() -> str:
         lo = min(args.s, args.r)
@@ -121,7 +125,7 @@ def _sdm_eig(args: argparse.Namespace) -> Result:
         rows = [[str(f.l), str(f), str(f.multiplicity)] for f in forms]
         return _table(["l", "eigenvalue", "multiplicity"], rows)
 
-    return EXIT_OK, spectrum.to_json_dict(args.s, args.r), csv, table
+    return EXIT_OK, data, csv, table
 
 
 def _sdm_verify(args: argparse.Namespace) -> Result:

@@ -93,11 +93,6 @@ def block_spectrum_tensor(
     ]
 
 
-def _z2_run(s2: int, count: int) -> Polynomial:
-    """prod_{m=0}^{count-1} (x - (s2+m))."""
-    return factor_product(Polynomial.x_minus(s2 + m) for m in range(count))
-
-
 def exceptional_diag_poly(k: int, s1: int, s2: int, rp1: int) -> Polynomial:
     """Diagonal entry of the exceptional signed block for e-pair count rp1."""
     cap = k - s1 - s2
@@ -105,7 +100,7 @@ def exceptional_diag_poly(k: int, s1: int, s2: int, rp1: int) -> Polynomial:
         raise ValueError(f"rp1={rp1} out of range 1..{cap}")
     rp2 = cap - rp1
     head = factor_product(_quadratic_factor(s1 + j) for j in range(rp1))
-    return head * _z2_run(s2, rp2) + _z2_run(s2, cap)
+    return head * x_z2_poly(s2, rp2, 0) + x_z2_poly(s2, cap, 0)
 
 
 def build_exceptional_block(k: int, s1: int, s2: int) -> list[list[Polynomial]]:
@@ -122,7 +117,7 @@ def build_exceptional_block(k: int, s1: int, s2: int) -> list[list[Polynomial]]:
     cap = k - s1 - s2
     if cap < 1:
         raise ValueError(f"need s1+s2 < k, got s1+s2={s1 + s2}, k={k}")
-    run = _z2_run(s2, cap)
+    run = x_z2_poly(s2, cap, 0)
     row_rp1 = [rp1 for rp1 in range(1, cap + 1) for _ in (0, 1)]
     n = 2 * cap
     out = []

@@ -11,10 +11,12 @@ modules beyond the Polynomial container:
   bound at about 19168 bits; past it charpoly raises SizeCapExceeded.
   Python integers only.
 
-* det_poly: exact determinant of a matrix over Z[x] by fraction-free
-  Bareiss elimination. The Bareiss identity guarantees every division is
-  exact in Z[x] (each quotient is itself a minor). Sides up to 8 are
-  recomputed by expansion by minors as a self-check.
+* det_poly: exact determinant of a matrix over Z[x] as one integer
+  determinant (Kronecker substitution): the entries are evaluated at x = 2^b
+  past a Hadamard-type bound on the coefficients of every minor, Bareiss
+  elimination runs over Z, and the balanced base-2^b digits of the result
+  are its coefficients. Sides up to 8 are recomputed by expansion by minors
+  as a self-check.
 
 verify_sdm_spectrum and verify_gram_det tie the primitives to the
 closed-form predictions and produce machine-readable reports; failures are
@@ -157,36 +159,46 @@ def det_by_minors(m: Sequence[Sequence[Polynomial]]) -> Polynomial:
 def det_poly(
     m: Sequence[Sequence[Polynomial]], max_size: int = DEFAULT_DET_CAP
 ) -> Polynomial:
-    """Exact determinant over Z[x] by fraction-free Bareiss elimination."""
+    """Exact determinant over Z[x] by fraction-free Bareiss elimination over
+    Z at x = 2^b."""
     n = _check_square(m)
     if n > max_size:
         raise SizeCapExceeded("det_poly", n, max_size)
     if n == 0:
         return ONE
-    a = [list(row) for row in m]
+    # on |z| = 1, |m_ij(z)| <= ||m_ij||_1 (sum of |coefficients|), so by
+    # Hadamard |minor(z)| <= prod of its row 2-norms < bound; by Cauchy's
+    # estimate no coefficient of a minor, the determinant included, exceeds
+    # its largest value on |z| = 1
+    bound = 1
+    for row in m:
+        bound *= math.isqrt(sum(sum(map(abs, p.coeffs)) ** 2 for p in row)) + 1
+    b = bound.bit_length() + 1
+    # digits below 2^(b-1) make a packed minor zero exactly when the minor is
+    a = [[p.eval_at(1 << b) for p in row] for row in m]
     sign = 1
-    prev = ONE
+    prev = 1
     for col in range(n - 1):
-        pivot = None
-        for i in range(col, n):
-            if not a[i][col].is_zero():
-                pivot = i
-                break
+        pivot = next((i for i in range(col, n) if a[i][col]), None)
         if pivot is None:
             return ZERO
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             sign = -sign
-        pv = a[col][col]
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                num = pv * a[i][j] - a[i][col] * a[col][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][col] = ZERO
+        pv, top = a[col][col], a[col][col + 1 :]
+        # exact: every Bareiss intermediate is a minor of m
+        for row in a[col + 1 :]:
+            f = row[col]
+            row[col + 1 :] = [(pv * x - f * y) // prev for x, y in zip(row[col + 1 :], top)]
         prev = pv
-    det = a[n - 1][n - 1]
-    if sign < 0:
-        det = -det
+    v = sign * a[n - 1][n - 1]
+    digits = []
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    while v:
+        d = ((v + half) & mask) - half
+        digits.append(d)
+        v = (v - d) >> b
+    det = Polynomial.of(digits)
     if n <= 8:
         check = det_by_minors(m)
         if check != det:

@@ -4,8 +4,9 @@ Coefficients are stored ascending by degree with trailing zeros trimmed, so
 the zero polynomial is the empty tuple and the degree of a nonzero
 polynomial is len(coeffs) - 1. Every polynomial that appears in this package
 has integer coefficients (block eigenvalues are monic integer products, and
-the fraction-free determinant routines preserve integrality), so there is no
-rational fallback anywhere.
+the oracle's determinants are integer determinants read back as
+coefficients), so there is no rational fallback and no polynomial division
+anywhere.
 
 degree() of the zero polynomial returns the marker NEG_INF rather than -1,
 to keep accidental arithmetic on it from looking like a valid degree.
@@ -37,10 +38,6 @@ class Polynomial:
     @staticmethod
     def of(coeffs: Iterable[int]) -> "Polynomial":
         return Polynomial(_trim(list(coeffs)))
-
-    @staticmethod
-    def constant(c: int) -> "Polynomial":
-        return Polynomial.of([c])
 
     @staticmethod
     def x_minus(a: int) -> "Polynomial":
@@ -102,38 +99,6 @@ class Polynomial:
             acc = acc * a + c
         return acc
 
-    def exact_div(self, divisor: "Polynomial") -> "Polynomial":
-        """Quotient self / divisor, valid only when the division is exact.
-
-        School long division; each step's leading coefficient must divide
-        exactly, which holds whenever divisor genuinely divides self over
-        the integers (the only way this is called).
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return ZERO
-        rem = list(self.coeffs)
-        dc = divisor.coeffs
-        dd = len(dc) - 1
-        lead = dc[-1]
-        if len(rem) - 1 < dd:
-            raise ValueError("division is not exact: degree too small")
-        qout = [0] * (len(rem) - dd)
-        for top in range(len(rem) - 1, dd - 1, -1):
-            c = rem[top]
-            if c == 0:
-                continue
-            q, rr = divmod(c, lead)
-            if rr:
-                raise ValueError("division is not exact: leading coefficient")
-            qout[top - dd] = q
-            for i in range(dd + 1):
-                rem[top - dd + i] -= q * dc[i]
-        if any(rem):
-            raise ValueError("division is not exact: nonzero remainder")
-        return Polynomial.of(qout)
-
     def __str__(self) -> str:
         terms = reversed(list(enumerate(self.coeffs)))
         return format_terms((c, {0: "", 1: "x"}.get(d, f"x^{d}")) for d, c in terms)
@@ -175,7 +140,8 @@ def integer_roots(p: Polynomial) -> set[int]:
     """All integer roots of a nonzero polynomial.
 
     Strips powers of x, then tests the divisors of the trailing nonzero
-    coefficient (any integer root divides it).
+    coefficient (any integer root divides it), scanning no further than
+    Fujiwara's root bound.
     """
     if p.is_zero():
         raise ValueError("integer_roots: zero polynomial has every root")
@@ -191,11 +157,16 @@ def integer_roots(p: Polynomial) -> set[int]:
         return roots
     tail = abs(coeffs[0])
     stripped = Polynomial.of(coeffs)
+    # Fujiwara: every root has |z| <= 2 max_i |c_{n-i} / c_n|^(1/i) < limit,
+    # as |c_n| >= 1. A root with |z| <= sqrt(tail) is met at d = |z|; one past
+    # sqrt(tail) needs limit > sqrt(tail), so its cofactor d is met as well
+    n = len(coeffs) - 1
+    limit = 2 << max(-(-abs(coeffs[n - i]).bit_length() // i) for i in range(1, n + 1))
     d = 1
-    while d * d <= tail:
+    while d * d <= tail and d < limit:
         if tail % d == 0:
             for cand in (d, -d, tail // d, -(tail // d)):
-                if stripped.eval_at(cand) == 0:
+                if abs(cand) < limit and stripped.eval_at(cand) == 0:
                     roots.add(cand)
         d += 1
     return roots

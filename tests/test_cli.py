@@ -239,23 +239,34 @@ def test_gram_partition_det_cap_exits_before_enumerating(capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
-def test_gram_partition_many_points_no_traceback():
-    # stirling2(1200, 1199) is far past the interpreter's recursion limit
+def _gram_in_subprocess(argv):
+    """Run gram_main(argv) in a fresh interpreter; check it exits 0 with no
+    traceback and return its JSON output."""
     src = str(Path(diagram_spectra.__file__).parents[1])
-    code = (
-        "import sys; from diagram_spectra.cli import gram_main; "
-        "sys.exit(gram_main(['partition', '--k', '1200', '--s', '1199']))"
-    )
+    code = f"import sys; from diagram_spectra.cli import gram_main; sys.exit(gram_main({argv!r}))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
     )
     assert proc.returncode == EXIT_OK
     assert "Traceback" not in proc.stderr
-    data = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_gram_partition_many_points_no_traceback():
+    # stirling2(1200, 1199) is far past the interpreter's recursion limit
+    data = _gram_in_subprocess(["partition", "--k", "1200", "--s", "1199"])
     assert [b["copies"] for b in data["blocks"]] == [1200 * 1199 // 2, 1]
+
+
+def test_gram_partition_roots_many_points_no_traceback():
+    # trailing coefficients reach 111 bits, so a divisor scan up to their
+    # square root would not end; the scan stops at a root bound instead
+    data = _gram_in_subprocess(["partition", "--k", "30", "--s", "3", "--roots"])
+    assert data["singular_x"] == [2, 3, 4] + list(range(6, 33))
 
 
 def test_gram_z2_json(capsys):

@@ -205,6 +205,18 @@ def test_semisimple_exceptions():
     assert semisimple_exceptions(3, 1) == {0, 2, 3}
 
 
+@pytest.mark.parametrize("k", range(1, 31))
+def test_semisimple_exceptions_are_the_product_form_roots(k):
+    # the roots of E_{r,l} read off the linear factors product_form multiplies;
+    # every s up to k = 16, three s past it to keep the sweep short
+    for s in range(k + 1) if k <= 16 else (3, k // 2, k - 1):
+        expected = set()
+        for r in range(k - s + 1):
+            for l in range(min(s, r) + 1):
+                expected |= {s - 1 + i for i in range(l)} | {2 * s + j for j in range(r - l)}
+        assert semisimple_exceptions(k, s) == expected
+
+
 def test_json_dict_shape():
     d = to_json_dict(2, 1, det_sign=1, singular_x={0, 2})
     assert d["k"] == 2 and d["s"] == 1

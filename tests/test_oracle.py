@@ -22,7 +22,8 @@ def _rand_int_matrix(n, rng, lo=-9, hi=9):
 
 
 def _bareiss_charpoly(m):
-    # det(lambda*I - m) by Bareiss over Z[x]: no arithmetic shared with charpoly
+    # det(lambda*I - m) by det_poly, Bareiss over Z at x = 2^b: no arithmetic
+    # shared with charpoly
     n = len(m)
     return det_poly(
         [[Polynomial.of([-m[i][j], int(i == j)]) for j in range(n)] for i in range(n)]
@@ -73,12 +74,17 @@ def test_charpoly_crt_large_entries():
     assert charpoly(m) == _bareiss_charpoly(m)
 
 
+def _sylvester_hadamard(side):
+    h = [[1]]
+    while len(h) < side:
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return h
+
+
 def test_charpoly_hadamard_bound_is_met():
     # c times the Sylvester-Hadamard matrix of side 8 has |det| = c^8 8^4, which
     # is Hadamard's bound exactly: the largest coefficient the bound must cover
-    h = [[1]]
-    for _ in range(3):
-        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    h = _sylvester_hadamard(8)
     for c in (1, 3, 2**100, 2**200 + 1):
         m = [[c * v for v in row] for row in h]
         got = charpoly(m)
@@ -123,7 +129,7 @@ def test_charpoly_constant_term_is_signed_det():
     rng = random.Random(7)
     for n in (1, 2, 3, 4, 5, 6):
         m = _rand_int_matrix(n, rng, -5, 5)
-        embedded = [[Polynomial.constant(v) for v in row] for row in m]
+        embedded = [[Polynomial.of([v]) for v in row] for row in m]
         det_val = det_poly(embedded).eval_at(0)
         assert charpoly(m).eval_at(0) == (-1) ** n * det_val
 
@@ -204,6 +210,20 @@ def test_det_poly_agrees_with_minors():
             for _ in range(n)
         ]
         assert det_poly(m) == det_by_minors(m)
+
+
+def test_det_poly_hadamard_bound_is_met():
+    # every entry of H_n times p = c x - (c + 1): at x = -1 the rows are
+    # orthogonal with equal norms, so |det| meets Hadamard's bound there, and
+    # the coefficients of p^n alternate in sign; with p = c the determinant
+    # 2^1632 at c = 2^100 is within one bit of the packing bound. Side 16 is
+    # past the minor check
+    for side, det_h in ((8, 8**4), (16, 2**32)):
+        h = _sylvester_hadamard(side)
+        for c in (1, 3, 2**100, 2**200 + 1):
+            for p in (Polynomial.of([-(c + 1), c]), Polynomial.of([c])):
+                m = [[p.scale(v) for v in row] for row in h]
+                assert det_poly(m) == p.pow(side).scale(det_h)
 
 
 def test_det_by_minors_side_limit():

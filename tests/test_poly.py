@@ -66,22 +66,6 @@ def test_eval_is_ring_homomorphism(p, q, a):
     assert (p + q).eval_at(a) == p.eval_at(a) + q.eval_at(a)
 
 
-@given(polys, polys)
-def test_exact_div_inverts_mul(p, q):
-    if q.is_zero():
-        return
-    assert (p * q).exact_div(q) == p
-
-
-def test_exact_div_rejects_inexact():
-    with pytest.raises(ValueError):
-        (X * X).exact_div(Polynomial.of([1, 1]))  # x^2 / (x+1)
-    with pytest.raises(ValueError):
-        Polynomial.of([3]).exact_div(Polynomial.of([2]))
-    with pytest.raises(ZeroDivisionError):
-        ONE.exact_div(ZERO)
-
-
 def test_factor_product():
     assert factor_product([]) == ONE
     assert factor_product([Polynomial.x_minus(1), Polynomial.x_minus(2)]) == Polynomial.of(
@@ -112,6 +96,11 @@ def test_integer_roots():
     assert integer_roots(Polynomial.of([0, 0, 1])) == {0}
     assert integer_roots(Polynomial.of([6, -5, 1]).scale(3)) == {2, 3}
     assert integer_roots(ONE) == set()
+    # a root past sqrt(|c_0|), found as a cofactor
+    assert integer_roots(Polynomial.of([1000, -1001, 1])) == {1, 1000}
+    # (x + 16)(x - 2)^2 (x^2 - 5x + 3): 16 = 2^(1 + max_i floor(bitlen(c_{n-i}) / i)),
+    # so the root bound needs the ceiling
+    assert integer_roots(Polynomial.of([192, -500, 400, -117, 7, 1])) == {-16, 2}
 
 
 def test_integer_roots_rejects_zero():

@@ -111,12 +111,12 @@ def test_substituted_spectrum_at_constants_is_the_closed_form():
     for s in range(0, 5):
         for r in range(0, 5):
             lo = min(s, r)
-            got = substituted_spectrum(s, r, lambda s_, r_, t: Polynomial.constant(values[lo - t]))
+            got = substituted_spectrum(s, r, lambda s_, r_, t: Polynomial.of([values[lo - t]]))
             if s + r == 0:
-                assert got == [(0, Polynomial.constant(values[0]), 1)]
+                assert got == [(0, Polynomial.of([values[0]]), 1)]
                 continue
             assert got == [
-                (f.l, Polynomial.constant(f.eval_at(values[: lo + 1])), f.multiplicity)
+                (f.l, Polynomial.of([f.eval_at(values[: lo + 1])]), f.multiplicity)
                 for f in distinct_eigenvalues(s, r)
             ]
 
