@@ -18,9 +18,22 @@ modules beyond the Polynomial container:
   are its coefficients. Sides up to 8 are recomputed by expansion by minors
   as a self-check.
 
-verify_sdm_spectrum and verify_gram_det tie the primitives to the
-closed-form predictions and produce machine-readable reports; failures are
-reported with witnesses, never raised.
+verify_sdm_spectrum certifies the spectrum of A^{s+r,s} symbolically, for
+every x at once, in Python integers. Its level relations A_0..A_d
+(d = min(s,r)) are those of the Johnson scheme J(s+r, s). The intersection
+numbers p^u_vw are read off row 0 of the level matrix against every column:
+S_{s+r} permutes positions, so it acts transitively on the through sets and
+keeps overlaps, and row 0 stands for every row. The closed form passes when
+its coefficient rows are d+1 distinct characters of the algebra spanned by
+the A_v, with P_l(d) = 1, and its multiplicities meet the orthogonality
+relation n = m_l sum_v P_l(v)^2 / k_v (Delsarte 1973; Brouwer, Cohen &
+Neumaier, Distance-Regular Graphs, ch. 2 and 9.1). charpoly runs only when
+the certificate fails, on `trials` random substitutions seeded by `seed`,
+to find witnesses.
+
+verify_gram_det ties det_poly to the closed-form prediction. Both verify_*
+functions produce machine-readable reports; failures are reported with
+witnesses, never raised.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .errors import SizeCapExceeded
@@ -229,6 +242,75 @@ class VerifyReport:
         return out
 
 
+def _certificate_failure(
+    levels: Sequence[Sequence[int]], d: int, forms: Sequence
+) -> tuple[str, str] | None:
+    """The first failed step of the Bose-Mesner certificate, as (step,
+    detail), or None when every step holds.
+
+    levels is a symmetric level matrix with levels 0..d and level d on the
+    diagonal; forms claim its spectrum, P_l(v) = forms[l].coeffs[v] being
+    the eigenvalue of the level-v relation A_v on family l.
+    """
+    n = len(levels)
+    row0 = levels[0]
+    groups: list[list[int]] = [[] for _ in range(d + 1)]
+    for z, v in enumerate(row0):
+        groups[v].append(z)
+    missing = [u for u, g in enumerate(groups) if not g]
+    if missing:
+        return "intersection numbers", f"row 0 misses level {missing[0]}"
+    if groups[d] != [0]:
+        return "intersection numbers", f"level {d} is not the identity relation"
+    # p^u_vw = #{z : level(0, z) = v, level(z, y) = w} for any column y at
+    # level u. Row 0 is enough: S_{s+r} permutes positions, so it acts
+    # transitively on the through sets and keeps overlaps, hence levels; a
+    # column's numbers are read off row y, the matrix being symmetric. Levels
+    # are at most d, far below 256 at any buildable side, so a row fits bytes
+    order = [z for g in groups for z in g]
+    spans, lo = [], 0
+    for g in groups:
+        spans.append((lo, lo + len(g)))
+        lo += len(g)
+    pick = itemgetter(*order) if n > 1 else lambda row: (row[0],)
+    p: list[list[list[int]] | None] = [None] * (d + 1)
+    for y, row in enumerate(levels):
+        picked = bytes(pick(row))
+        table = [[picked.count(w, a, b) for w in range(d + 1)] for a, b in spans]
+        u = row0[y]
+        if p[u] is None:
+            p[u] = table
+        elif p[u] != table:
+            return "intersection numbers", f"column {y} disagrees with an earlier one at level {u}"
+    # P_l(v) P_l(w) = sum_u p^u_vw P_l(u) makes row l a character of the
+    # Bose-Mesner algebra spanned by A_0..A_d; P_l(d) = 1 since A_d = I
+    rows = [f.coeffs for f in forms]
+    for l, pl in enumerate(rows):
+        if pl[d] != 1:
+            return "characters", f"family {l}: P_l({d}) = {pl[d]}, want 1"
+        for v in range(d + 1):
+            for w in range(d + 1):
+                if pl[v] * pl[w] != sum(p[u][v][w] * pl[u] for u in range(d + 1)):
+                    return "characters", f"family {l} is not multiplicative at levels ({v}, {w})"
+    # the algebra is commutative of dimension d+1, so d+1 distinct characters
+    # are all of them: every eigenvalue of sum_v x_v A_v is one of the E_l
+    if len(set(rows)) != d + 1:
+        return "distinct characters", "two families have the same coefficients"
+    # orthogonality: m_l sum_v P_l(v)^2 / k_v = n, over the common multiple
+    # of the valencies k_v = p^d_vv so that it stays in integers
+    k = [p[d][v][v] for v in range(d + 1)]
+    common = math.lcm(*k)
+    for l, (pl, f) in enumerate(zip(rows, forms)):
+        if f.multiplicity * sum(c * c * (common // kv) for c, kv in zip(pl, k)) != n * common:
+            return "multiplicities", f"family {l}: multiplicity {f.multiplicity} fails orthogonality"
+    return None
+
+
+# redraws per witness trial before the last draw is used as is: equal forms
+# never separate, and distinct ones separate at almost every draw
+_WITNESS_REDRAWS = 100
+
+
 def verify_sdm_spectrum(
     s: int,
     r: int,
@@ -236,14 +318,23 @@ def verify_sdm_spectrum(
     seed: int = 0,
     max_size: int = DEFAULT_CHARPOLY_CAP,
 ) -> VerifyReport:
-    """Check the closed-form spectrum of A^{s+r,s} against exact charpolys.
+    """Certify the closed-form spectrum of A^{s+r,s} for every x at once.
 
-    Each trial substitutes pseudo-random integers in [-9, 9] for the symbols
-    x_0..x_min, redrawn until the E_l are pairwise distinct (two equal E_l
-    would hide a wrong split of multiplicity between them), and compares
-    charpoly(substituted matrix) with prod_l (lambda - E_l)^{m_l}. Equality
-    must be exact, multiplicities included. At least one trial is required:
-    zero trials would certify nothing.
+    The level relations A_0..A_d (d = min(s,r)) of A^{s+r,s} are those of
+    the Johnson scheme J(s+r, s). Their intersection numbers p^u_vw are read
+    off the level matrix, and the closed form passes when its coefficient
+    rows P_l(v) are d+1 distinct characters of the algebra they span
+    (P_l(d) = 1, P_l(v) P_l(w) = sum_u p^u_vw P_l(u)) whose multiplicities
+    satisfy n = m_l sum_v P_l(v)^2 / k_v. Then charpoly(sum_v x_v A_v) =
+    prod_l (lambda - E_l)^{m_l} identically; see _certificate_failure.
+
+    Only when the certificate fails do `trials` charpoly trials, seeded by
+    `seed`, look for witnesses: each substitutes pseudo-random integers in
+    [-9, 9] for x_0..x_d, redrawn (at most _WITNESS_REDRAWS times) until the
+    E_l are pairwise distinct, and records a failure when charpoly of the
+    substituted matrix differs from the prediction. When no trial witnesses
+    the failure, the one failure entry names the failed certificate step.
+    At least one trial is required, so that a failure can be witnessed.
     """
     from . import sdm, spectrum
 
@@ -251,28 +342,32 @@ def verify_sdm_spectrum(
         raise ValueError(f"need trials >= 1, got {trials}")
     matrix = sdm.build(s, r, max_size=max_size)
     forms = spectrum.distinct_eigenvalues(s, r)
-    rng = random.Random(f"{seed}:{s}:{r}")
+    failed = _certificate_failure(matrix.levels, matrix.min_level, forms)
     failures = []
-    for trial in range(trials):
-        # the forms are distinct linear forms, so a redraw soon separates them
-        while True:
-            values = [rng.randint(-9, 9) for _ in range(matrix.min_level + 1)]
-            eigs = [f.eval_at(values) for f in forms]
-            if len(set(eigs)) == len(eigs):
-                break
-        got = charpoly(sdm.substitute(matrix, values), max_size=max_size)
-        expected = ONE
-        for e, f in zip(eigs, forms):
-            expected = expected * Polynomial.x_minus(e).pow(f.multiplicity)
-        if got != expected:
-            failures.append(
-                {
-                    "trial": trial,
-                    "substitution": values,
-                    "expected": expected.to_json(),
-                    "got": got.to_json(),
-                }
-            )
+    if failed is not None:
+        rng = random.Random(f"{seed}:{s}:{r}")
+        for trial in range(trials):
+            for _ in range(_WITNESS_REDRAWS):
+                values = [rng.randint(-9, 9) for _ in range(matrix.min_level + 1)]
+                eigs = [f.eval_at(values) for f in forms]
+                if len(set(eigs)) == len(eigs):
+                    break
+            got = charpoly(sdm.substitute(matrix, values), max_size=max_size)
+            expected = ONE
+            for e, f in zip(eigs, forms):
+                expected = expected * Polynomial.x_minus(e).pow(f.multiplicity)
+            if got != expected:
+                failures.append(
+                    {
+                        "trial": trial,
+                        "substitution": values,
+                        "expected": expected.to_json(),
+                        "got": got.to_json(),
+                    }
+                )
+        if not failures:
+            step, detail = failed
+            failures.append({"trial": None, "substitution": None, "step": step, "detail": detail})
     return VerifyReport(
         target="sdm_spectrum",
         params={"s": s, "r": r, "seed": seed},

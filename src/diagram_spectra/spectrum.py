@@ -14,8 +14,15 @@ Multiplicities are not part of the closed form; the hook-shaped assignment
 
     m_l = C(s+r,l) - C(s+r,l-1)
 
-is used here and is verified exactly against characteristic polynomials by
-the oracle module (see verify_sdm_spectrum); the test suite gates on that.
+is used here and is certified, together with the forms, for every x at once
+by the oracle module's Bose-Mesner check (see verify_sdm_spectrum): the
+rows of coefficients must be the d+1 characters of the Johnson scheme's
+algebra and meet its orthogonality relation with these m_l. The test suite
+gates on that.
+
+distinct_eigenvalues computes (d+1)^2 Eberlein coefficients, d = min(s,r),
+each an alternating sum of up to d+1 binomial products, and raises
+SizeCapExceeded past MAX_EBERLEIN_TERMS of them.
 
 substituted_spectrum evaluates the families with each x_{min(s,r)-t}
 replaced by a polynomial; every Gram family here is one such substitution.
@@ -32,7 +39,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .combinat import binomial
+from .errors import SizeCapExceeded
 from .poly import ZERO, Polynomial, format_terms
+
+
+# (d+1)^2 coefficients at d = 127, about a second of work for s = r
+MAX_EBERLEIN_TERMS = 16_384
 
 
 def eberlein_coefficient(s: int, r: int, l: int, t: int) -> int:
@@ -75,6 +87,8 @@ def distinct_eigenvalues(s: int, r: int) -> list[EigenvalueForm]:
     if s < 0 or r < 0 or s + r < 1:
         raise ValueError(f"need s, r >= 0 with s + r >= 1, got ({s}, {r})")
     lo = min(s, r)
+    if (lo + 1) ** 2 > MAX_EBERLEIN_TERMS:
+        raise SizeCapExceeded("Eberlein terms (min(s,r)+1)^2", (lo + 1) ** 2, MAX_EBERLEIN_TERMS)
     mults = multiplicities(s, r)
     forms = []
     for l in range(lo + 1):

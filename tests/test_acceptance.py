@@ -56,7 +56,8 @@ def test_criterion_1_golden_spectra():
 
 
 def test_criterion_2_spectral_certificate():
-    """Oracle charpoly equals the predicted spectrum for every s+r <= 9."""
+    """The Johnson-scheme certificate holds for the predicted spectrum, for
+    every x at once, for every s+r <= 9; charpoly runs only on failure."""
     start = time.monotonic()
     checked = 0
     for n in range(1, 10):
@@ -68,7 +69,7 @@ def test_criterion_2_spectral_certificate():
             checked += 1
     elapsed = time.monotonic() - start
     assert checked == 54
-    # stated runtime target is < 60 s total; measured ~28 s here
+    # stated runtime target is < 60 s total; measured ~0.03 s on a 2-core host
     print(f"\n  54 spectra certified in {elapsed:.1f} s")
 
 

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import diagram_spectra
-from diagram_spectra import oracle
+from diagram_spectra import oracle, spectrum
 from diagram_spectra.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -104,6 +105,22 @@ def test_sdm_verify_failure_exit(monkeypatch, capsys):
     assert "false" in capsys.readouterr().out
 
 
+def test_sdm_verify_unwitnessed_failure_table(monkeypatch, capsys):
+    # a closed form whose fault the one witness trial misses (see
+    # test_oracle::test_verify_sdm_spectrum_unwitnessed_failure_names_the_step)
+    forms = spectrum.distinct_eigenvalues(3, 4)
+    coeffs = (forms[1].coeffs[0] + 1,) + forms[1].coeffs[1:]
+    forms[1] = replace(forms[1], coeffs=coeffs)
+    monkeypatch.setattr(spectrum, "distinct_eigenvalues", lambda s, r: forms)
+    argv = ["verify", "--s", "3", "--r", "4", "--trials", "1", "--seed", "17"]
+    assert sdm_main(argv + ["--out", "pretty-table"]) == EXIT_VERIFY
+    assert capsys.readouterr().out == (
+        "FAIL sdm spectrum s=3 r=4 trials=1\n  trial None: substitution None\n"
+    )
+    assert sdm_main(argv) == EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out)["failures"][0]["step"] == "characters"
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_sdm_verify_rejects_no_trials(trials, capsys):
     argv = ["verify", "--s", "1", "--r", "1", "--trials", trials, "--out", "pretty-table"]
@@ -124,6 +141,24 @@ def test_cli_import_does_not_load_numpy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.stdout == "False\n"
+
+
+def test_verify_loads_no_fractions():
+    # the certificate stays in Python integers
+    src = str(Path(diagram_spectra.__file__).parents[1])
+    code = (
+        "import sys; from diagram_spectra.cli import sdm_main; "
+        "code = sdm_main(['verify', '--s', '4', '--r', '5', '--out', 'csv']); "
+        "print(code, 'fractions' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_cli_verify_past_plain_cutoff_does_not_load_numpy():
@@ -177,6 +212,14 @@ def test_sdm_usage_errors(capsys):
 def test_sdm_cap_exit(capsys):
     assert sdm_main(["build", "--s", "30", "--r", "30"]) == EXIT_CAP
     assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_sdm_eig_work_cap_exit(capsys):
+    # about 4M Eberlein coefficients: refused before any is computed
+    assert sdm_main(["eig", "--s", "2000", "--r", "2000"]) == EXIT_CAP
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Eberlein terms (min(s,r)+1)^2: size 4004001 exceeds cap 16384\n"
 
 
 def test_gram_partition_json(capsys):

@@ -1,12 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from diagram_spectra import sdm, spectrum
+import diagram_spectra
+from diagram_spectra import oracle, sdm, spectrum
 from diagram_spectra.errors import SizeCapExceeded
 from diagram_spectra.oracle import (
     _MERSENNE_EXPONENTS,
+    _certificate_failure,
     charpoly,
     det_by_minors,
     det_poly,
@@ -262,6 +268,145 @@ def test_verify_sdm_spectrum_trials_separate_families(monkeypatch, s, r):
     monkeypatch.setattr(spectrum, "distinct_eigenvalues", lambda s, r: swapped + forms[2:])
     report = verify_sdm_spectrum(s, r, trials=5, seed=0)
     assert [f["trial"] for f in report.failures] == [0, 1, 2, 3, 4]
+
+
+def _perturbed(forms, l, v):
+    # family l with its coefficient of x_v raised by one
+    coeffs = list(forms[l].coeffs)
+    coeffs[v] += 1
+    return forms[:l] + [replace(forms[l], coeffs=tuple(coeffs))] + forms[l + 1 :]
+
+
+def _swapped(forms):
+    # the multiplicities of families 0 and 1 exchanged
+    m0, m1 = forms[0].multiplicity, forms[1].multiplicity
+    return [replace(forms[0], multiplicity=m1), replace(forms[1], multiplicity=m0)] + forms[2:]
+
+
+def _charpoly_agrees(matrix, forms, values):
+    expected = ONE
+    for f in forms:
+        expected = expected * Polynomial.x_minus(f.eval_at(values)).pow(f.multiplicity)
+    return charpoly(sdm.substitute(matrix, values)) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_certificate_agrees_with_charpoly_at_small_sides(n):
+    # the symbolic verdict and exact charpolys at a few substitutions agree,
+    # for the closed form and for the closed form with one coefficient off
+    rng = random.Random(n)
+    for s in range(n + 1):
+        matrix = sdm.build(s, n - s)
+        d = matrix.min_level
+        forms = spectrum.distinct_eigenvalues(s, n - s)
+        # nonzero values, so that an x_0 coefficient that is off shows
+        draws = [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(d + 1)] for _ in range(3)]
+        for claim in (forms, _perturbed(forms, d, 0)):
+            certified = _certificate_failure(matrix.levels, d, claim) is None
+            agrees = all(_charpoly_agrees(matrix, claim, values) for values in draws)
+            assert certified == agrees, (s, n - s, claim)
+        assert _certificate_failure(matrix.levels, d, forms) is None
+
+
+@pytest.mark.parametrize(
+    "mutate, step",
+    [(lambda f: _perturbed(f, 1, 0), "characters"), (_swapped, "multiplicities")],
+    ids=["perturbed-coefficient", "swapped-multiplicities"],
+)
+def test_certificate_rejects_mutated_closed_form(monkeypatch, mutate, step):
+    forms = mutate(spectrum.distinct_eigenvalues(3, 4))
+    matrix = sdm.build(3, 4)
+    assert _certificate_failure(matrix.levels, 3, forms)[0] == step
+    monkeypatch.setattr(spectrum, "distinct_eigenvalues", lambda s, r: forms)
+    report = verify_sdm_spectrum(3, 4, trials=2, seed=0)
+    assert not report.passed
+    assert [f["trial"] for f in report.failures] == [0, 1]
+
+
+def test_certificate_rejects_tampered_level_matrix(monkeypatch):
+    # swap the levels of (1, 2) and (1, k), and of their mirror entries: the
+    # matrix stays symmetric, but column 2 no longer sees what the other
+    # columns at its level see
+    matrix = sdm.build(3, 4)
+    rows = [list(row) for row in matrix.levels]
+    k = next(c for c in range(3, matrix.n) if rows[1][c] != rows[1][2])
+    rows[1][2], rows[1][k] = rows[1][k], rows[1][2]
+    rows[2][1], rows[k][1] = rows[k][1], rows[2][1]
+    tampered = replace(matrix, levels=tuple(map(tuple, rows)))
+    forms = spectrum.distinct_eigenvalues(3, 4)
+    step, detail = _certificate_failure(tampered.levels, 3, forms)
+    assert step == "intersection numbers"
+    assert "disagrees" in detail
+    monkeypatch.setattr(sdm, "build", lambda s, r, max_size: tampered)
+    assert not verify_sdm_spectrum(3, 4, trials=1).passed
+
+
+@pytest.fixture
+def no_charpoly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pass path must not substitute or run charpoly")
+
+    monkeypatch.setattr(oracle, "charpoly", refuse)
+    monkeypatch.setattr(sdm, "substitute", refuse)
+
+
+def test_verify_sdm_spectrum_pass_path_runs_no_charpoly(no_charpoly):
+    for n in range(1, 8):
+        for s in range(n + 1):
+            assert verify_sdm_spectrum(s, n - s, trials=3).passed
+
+
+def test_verify_sdm_spectrum_reaches_side_3432(no_charpoly):
+    # far past the charpoly cap of 300: the certificate reads the level
+    # matrix once and runs no charpoly
+    report = verify_sdm_spectrum(7, 7, max_size=3432)
+    assert report.passed
+    assert report.failures == []
+
+
+def test_verify_sdm_spectrum_unwitnessed_failure_names_the_step(monkeypatch):
+    # E_1 with its x_0 coefficient off by one; the one trial of seed 17 draws
+    # x_0 = 0, where the wrong E_1 has the right value, so only the
+    # certificate sees the fault
+    forms = _perturbed(spectrum.distinct_eigenvalues(3, 4), 1, 0)
+    monkeypatch.setattr(spectrum, "distinct_eigenvalues", lambda s, r: forms)
+    report = verify_sdm_spectrum(3, 4, trials=1, seed=17)
+    assert not report.passed
+    assert report.failures == [
+        {
+            "trial": None,
+            "substitution": None,
+            "step": "characters",
+            "detail": "family 1 is not multiplicative at levels (0, 0)",
+        }
+    ]
+
+
+def test_verify_sdm_spectrum_equal_forms_return_promptly():
+    # E_1 := E_0 at (2, 3): no redraw can separate two equal forms, so the
+    # witness draws must be bounded
+    src = str(Path(diagram_spectra.__file__).parents[1])
+    code = (
+        "from dataclasses import replace\n"
+        "from diagram_spectra import oracle, spectrum\n"
+        "forms = spectrum.distinct_eigenvalues(2, 3)\n"
+        "forms[1] = replace(forms[0], l=1, multiplicity=forms[1].multiplicity)\n"
+        "spectrum.distinct_eigenvalues = lambda s, r: forms\n"
+        "report = oracle.verify_sdm_spectrum(2, 3, trials=2)\n"
+        "print(report.passed, [f['trial'] for f in report.failures])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=30,
+    )
+    assert proc.stdout == "False [0, 1]\n"
+    assert _certificate_failure(
+        sdm.build(2, 3).levels, 2, [spectrum.distinct_eigenvalues(2, 3)[0]] * 3
+    )[0] == "distinct characters"
 
 
 def test_verify_sdm_spectrum_deterministic():

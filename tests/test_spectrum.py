@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from diagram_spectra import spectrum
 from diagram_spectra.combinat import binomial
+from diagram_spectra.errors import SizeCapExceeded
 from diagram_spectra.spectrum import (
     EigenvalueForm,
     difference_transform,
@@ -104,6 +106,14 @@ def test_distinct_eigenvalues_are_distinct_forms():
                 continue
             forms = distinct_eigenvalues(s, r)
             assert len({f.coeffs for f in forms}) == len(forms)
+
+
+def test_distinct_eigenvalues_work_cap(monkeypatch):
+    # the cap counts (min(s,r)+1)^2 Eberlein coefficients, whatever the side
+    monkeypatch.setattr(spectrum, "MAX_EBERLEIN_TERMS", 16)
+    assert len(distinct_eigenvalues(3, 50)) == 4
+    with pytest.raises(SizeCapExceeded, match="Eberlein terms"):
+        distinct_eigenvalues(4, 4)
 
 
 def test_substituted_spectrum_at_constants_is_the_closed_form():
