@@ -10,8 +10,9 @@ The package computes, entirely in integer arithmetic:
   where semisimplicity fails (gram_partition);
 * tensor-block spectra for Z2-relation and signed variants plus the signed
   exceptional block (gram_signed_z2);
-* an independent verification oracle: exact characteristic polynomials and
-  polynomial determinants (oracle).
+* an independent verification oracle: symbolic certificates of the spectra
+  and of det G_s, exact characteristic polynomials and polynomial
+  determinants (oracle).
 """
 
 from .combinat import SetPartition, Subset, binomial, k_subsets, set_partitions, stirling2

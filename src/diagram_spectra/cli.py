@@ -144,7 +144,10 @@ def _sdm_verify(args: argparse.Namespace) -> Result:
         verdict = "PASS" if report.passed else "FAIL"
         lines = [f"{verdict} sdm spectrum s={args.s} r={args.r} trials={report.trials}"]
         for f in report.failures:
-            lines.append(f"  trial {f['trial']}: substitution {f['substitution']}")
+            if f["trial"] is None:
+                lines.append(f"  {f['step']}: {f['detail']}")
+            else:
+                lines.append(f"  trial {f['trial']}: substitution {f['substitution']}")
         return "\n".join(lines) + "\n"
 
     return EXIT_OK if report.passed else EXIT_VERIFY, report.to_json_dict(), csv, table
@@ -186,12 +189,17 @@ def _gram_partition(args: argparse.Namespace) -> Result:
     k, s = args.k, args.s
     if k < 1 or not (0 <= s <= k):
         raise ValueError(f"need k >= 1 and 0 <= s <= k, got k={k}, s={s}")
-    build_cap = args.max_size if args.max_size is not None else gram_partition.DEFAULT_MAX_SIZE
-    det_cap = args.max_size if args.max_size is not None else oracle.DEFAULT_DET_CAP
+    if args.det:
+        # refuse the certificate's work before G_s is built
+        oracle.gram_det_side(k, s, args.max_size)
+    gram = gram_partition.build_gram(k, s, args.max_size) if args.matrix or args.det else None
+    blocks = gram_partition.block_spectra(k, s)
 
-    det_report = oracle.verify_gram_det(k, s, max_size=det_cap) if args.det else None
+    det_report = (
+        oracle.verify_gram_det(k, s, args.max_size, gram=gram, blocks=blocks) if args.det else None
+    )
     det_sign = det_report.extra["epsilon"] if det_report is not None else None
-    singular = gram_partition.semisimple_exceptions(k, s) if args.roots else None
+    singular = gram_partition.semisimple_exceptions(k, s, blocks=blocks) if args.roots else None
 
     data = gram_partition.to_json_dict(
         k,
@@ -199,7 +207,8 @@ def _gram_partition(args: argparse.Namespace) -> Result:
         include_matrix=args.matrix,
         det_sign=det_sign,
         singular_x=singular,
-        max_size=build_cap,
+        gram=gram,
+        blocks=blocks,
     )
     if det_report is not None:
         data["det"] = det_report.extra["det"]
@@ -267,13 +276,7 @@ def gram_main(argv: Sequence[str] | None = None) -> int:
     p_part.add_argument("--matrix", action="store_true", help="emit the Gram matrix")
     p_part.add_argument("--det", action="store_true", help="oracle determinant check")
     p_part.add_argument("--roots", action="store_true", help="emit singular integer x")
-    p_part.add_argument(
-        "--max-size",
-        type=int,
-        default=None,
-        help=f"cap for matrix side (default {gram_partition.DEFAULT_MAX_SIZE} build, "
-        f"{oracle.DEFAULT_DET_CAP} determinant)",
-    )
+    p_part.add_argument("--max-size", type=int, default=gram_partition.DEFAULT_MAX_SIZE)
     _add_out_flag(p_part)
     p_part.set_defaults(handler=_gram_partition)
 

@@ -21,16 +21,20 @@ the polynomial
     X_{min(s,r)-t} = (-1)^t * t! * prod_{m=t}^{r-1} (x - (s+m)).
 
 Feeding those substitutions through the closed-form spectrum of A^{s+r,s}
-gives the block eigenpolynomials E_{r,l}. The reduction is NOT a similarity
-(already on k=2, s=1 the traces disagree), so the E_{r,l} are eigenvalues of
-the reduced matrix only; what survives for G_s itself is the determinant:
+gives the block eigenpolynomials E_{r,l}. The reduction is a congruence,
+G_s = Z^T D Z, not a similarity (already on k=2, s=1 the traces disagree), so
+the E_{r,l} are eigenvalues of D only. Z[(t,T),(p,P)] is 1 when the partition
+t is p or coarser and the through blocks P land on s distinct blocks of t,
+exactly T, and 0 otherwise; D is block-diagonal over the partitions t, its
+t-block being A^{|t|,s} with entry (T,T') = X substituted at overlap |T cap T'|.
+Z is unitriangular in the row order of enumerate_half_diagrams (a strictly
+coarser t has fewer blocks, so it comes first), so det Z = 1 and
 
-    det G_s = eps * prod_{r,l} E_{r,l}^{stirling2(k,s+r)*m_l(s,r)},
-    eps in {+1, -1}.
+    det G_s = det D = prod_{r,l} E_{r,l}^{stirling2(k,s+r)*m_l(s,r)},
 
-The sign eps comes from the row/column interchanges in the reduction and is
-measured by the oracle, never assumed. Semisimplicity analysis only needs
-the determinant's roots, so nothing is lost.
+with sign +1, proved rather than measured: oracle.verify_gram_det checks the
+congruence entry by entry. For s = 0 this is Lindstrom's determinant of the
+join matrix of the partition lattice, prod_m (x)_m^{stirling2(k,m)}.
 
 product_form is the factored shape of E_{r,l}:
 
@@ -47,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .combinat import SetPartition, Subset, binomial, k_subsets, set_partitions, stirling2
 from .errors import SizeCapExceeded
@@ -121,13 +126,24 @@ def _join(p: SetPartition, q: SetPartition) -> tuple[list[int], list[int], int]:
     block of each block of p and of each block of q, and the number of join
     blocks."""
     bp = p.block_count
-    comp = list(range(bp + q.block_count))
-    # each point ties its block in p to its block in q; merge by relabelling
+    parent = list(range(bp + q.block_count))
+    c = len(parent)
+    # each point ties its block in p to its block in q
     for a, b in zip(p.block_assignment, q.block_assignment):
-        old, new = comp[bp + b], comp[a]
-        if old != new:
-            comp = [new if c == old else c for c in comp]
-    return comp[:bp], comp[bp:], len(set(comp))
+        b += bp
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[b] = a
+            c -= 1
+    comp = []
+    for a in parent:
+        while parent[a] != a:
+            a = parent[a]
+        comp.append(a)
+    return comp[:bp], comp[bp:], c
 
 
 @dataclass(frozen=True)
@@ -142,19 +158,34 @@ class GramMatrix:
         return len(self.diagrams)
 
 
-def build_gram(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> GramMatrix:
-    """G_s on k points, in the row order of enumerate_half_diagrams. The cap
-    is checked on the side before anything is enumerated."""
+def gram_side(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> int:
+    """Side of G_s on k points, sum_r stirling2(k,s+r) * C(s+r,s), computed
+    without enumerating; raises SizeCapExceeded past max_size."""
     _check_shape(k, s)
     n = sum(stirling2(k, s + r) * binomial(s + r, s) for r in range(0, k - s + 1))
     if n > max_size:
         raise SizeCapExceeded(f"G_{s} on {k} points", n, max_size)
-    diagrams = enumerate_half_diagrams(k, s)
-    # one run per partition, of (row, through choice); a partition's rows are consecutive
-    runs = [
+    return n
+
+
+def _partition_runs(
+    diagrams: Sequence[HalfDiagram],
+) -> list[tuple[SetPartition, list[tuple[int, tuple[int, ...]]]]]:
+    """One run per maximal stretch of rows that share a partition, as the
+    partition and its (row, through choice) pairs."""
+    return [
         (p, [(i, d.through_blocks.elements) for i, d in run])
         for p, run in itertools.groupby(enumerate(diagrams), key=lambda e: e[1].partition)
     ]
+
+
+def build_gram(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> GramMatrix:
+    """G_s on k points, in the row order of enumerate_half_diagrams. The cap
+    is checked on the side before anything is enumerated."""
+    n = gram_side(k, s, max_size)
+    diagrams = enumerate_half_diagrams(k, s)
+    # a partition's rows are consecutive, so each partition makes one run
+    runs = _partition_runs(diagrams)
     powers = [X.pow(m) for m in range(k + 1)]
     rows = [[ZERO] * n for _ in range(n)]
     for a, (p, thr_p) in enumerate(runs):
@@ -199,6 +230,12 @@ def block_spectrum(k: int, s: int, r: int) -> BlockSpectrum:
     return BlockSpectrum(r=r, eigenpolys=tuple((l, e_l, copies * m) for l, e_l, m in eigen))
 
 
+def block_spectra(k: int, s: int) -> list[BlockSpectrum]:
+    """block_spectrum(k, s, r) for r = 0..k-s."""
+    _check_shape(k, s)
+    return [block_spectrum(k, s, r) for r in range(0, k - s + 1)]
+
+
 def product_form(s: int, r: int, l: int) -> Polynomial:
     """Factored form of the block eigenpolynomial E_{r,l} (degree r)."""
     if not (0 <= l <= min(s, r)):
@@ -208,13 +245,15 @@ def product_form(s: int, r: int, l: int) -> Polynomial:
     return left * right
 
 
-def semisimple_exceptions(k: int, s: int) -> set[int]:
+def semisimple_exceptions(
+    k: int, s: int, *, blocks: Sequence[BlockSpectrum] | None = None
+) -> set[int]:
     """Integer x at which det G_s vanishes: union of integer roots over all
-    block eigenpolynomials."""
+    block eigenpolynomials. blocks, when given, is block_spectra(k, s)."""
     _check_shape(k, s)
     roots: set[int] = set()
-    for r in range(0, k - s + 1):
-        for _, e_l, mult in block_spectrum(k, s, r).eigenpolys:
+    for spec_r in block_spectra(k, s) if blocks is None else blocks:
+        for _, e_l, mult in spec_r.eigenpolys:
             if mult == 0:
                 continue
             if e_l.degree() == 0:
@@ -229,12 +268,17 @@ def to_json_dict(
     include_matrix: bool = False,
     det_sign: int | None = None,
     singular_x: set[int] | None = None,
-    max_size: int = DEFAULT_MAX_SIZE,
+    *,
+    gram: GramMatrix | None = None,
+    blocks: Sequence[BlockSpectrum] | None = None,
 ) -> dict:
-    blocks = []
-    for r in range(0, k - s + 1):
-        spec_r = block_spectrum(k, s, r)
-        blocks.append(
+    """The JSON form of `gram partition`. gram and blocks, when given, are
+    build_gram(k, s) and block_spectra(k, s), so that a caller who holds
+    them does not compute them twice."""
+    out_blocks = []
+    for spec_r in block_spectra(k, s) if blocks is None else blocks:
+        r = spec_r.r
+        out_blocks.append(
             {
                 "r": r,
                 "copies": stirling2(k, s + r),
@@ -244,13 +288,13 @@ def to_json_dict(
                 ],
             }
         )
-    out: dict = {"k": k, "s": s, "blocks": blocks}
+    out: dict = {"k": k, "s": s, "blocks": out_blocks}
     if det_sign is not None:
         out["det_sign"] = det_sign
     if singular_x is not None:
         out["singular_x"] = sorted(singular_x)
     if include_matrix:
-        g = build_gram(k, s, max_size=max_size)
+        g = build_gram(k, s) if gram is None else gram
         out["matrix"] = {
             "n": g.n,
             "diagrams": [str(d) for d in g.diagrams],

@@ -31,19 +31,31 @@ Neumaier, Distance-Regular Graphs, ch. 2 and 9.1). charpoly runs only when
 the certificate fails, on `trials` random substitutions seeded by `seed`,
 to find witnesses.
 
-verify_gram_det ties det_poly to the closed-form prediction. Both verify_*
-functions produce machine-readable reports; failures are reported with
-witnesses, never raised.
+verify_gram_det certifies det G_s = prod_{r,l} E_{r,l}^{mult}, sign +1
+included, without evaluating a determinant. It checks the paper's reduction
+as a congruence G_s = Z^T D Z entry by entry, grouped by pairs of partitions
+(see gram_partition), checks that Z is unitriangular in the row order of
+G_s, so det G_s = det D, and certifies the determinant of each block of D,
+a substituted A^{s+r,s}, with the certificate above. Its work is the n^2
+cells of G_s, capped by MAX_CONGRUENCE_CELLS; det_poly stays as an
+independent cross-check in the tests.
+
+Both verify_* functions produce machine-readable reports; failures are
+reported with witnesses, never raised.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from . import gram_partition, sdm, spectrum
+from .combinat import stirling2
 from .errors import SizeCapExceeded
 from .poly import ONE, ZERO, Polynomial
 
@@ -336,8 +348,6 @@ def verify_sdm_spectrum(
     the failure, the one failure entry names the failed certificate step.
     At least one trial is required, so that a failure can be witnessed.
     """
-    from . import sdm, spectrum
-
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     matrix = sdm.build(s, r, max_size=max_size)
@@ -377,40 +387,222 @@ def verify_sdm_spectrum(
     )
 
 
-def verify_gram_det(k: int, s: int, max_size: int = DEFAULT_DET_CAP) -> VerifyReport:
-    """Check det G_s against the signed product of block eigenpolynomials.
+# every (k <= 6, s) fits: the largest, (6, 2), has side 856, and (7, 0),
+# side 877, is the smallest k = 7 shape that does not
+MAX_CONGRUENCE_CELLS = 750_000
 
-    Passes when det_poly(build_gram(k,s)) equals eps times
-    prod_{r,l} E_{r,l}^{mult} for eps in {+1,-1}; the measured eps is
-    reported.
-    """
-    from . import gram_partition
 
-    g = gram_partition.build_gram(k, s, max_size=max_size)
-    det = det_poly(g.entries, max_size=max_size)
-    expected = ONE
-    for r in range(0, k - s + 1):
-        for _, e_l, mult in gram_partition.block_spectrum(k, s, r).eigenpolys:
-            expected = expected * e_l.pow(mult)
-    failures = []
-    eps = 0
-    if det == expected:
-        eps = 1
-    elif det == -expected:
-        eps = -1
-    else:
-        failures.append(
-            {
-                "substitution": None,
-                "expected": expected.to_json(),
-                "got": det.to_json(),
-            }
+def gram_det_side(k: int, s: int, max_size: int = gram_partition.DEFAULT_MAX_SIZE) -> int:
+    """Side n of G_s on k points, computed without enumerating. Raises
+    SizeCapExceeded when n passes max_size or when the n^2 cells that
+    verify_gram_det compares pass MAX_CONGRUENCE_CELLS."""
+    n = gram_partition.gram_side(k, s, max_size)
+    if n * n > MAX_CONGRUENCE_CELLS:
+        raise SizeCapExceeded(
+            f"congruence cells of G_{s} on {k} points", n * n, MAX_CONGRUENCE_CELLS
         )
+    return n
+
+
+def _coarsenings(flags: Sequence[int]) -> Iterator[tuple[list[int], list[int]]]:
+    """Set partitions of range(len(flags)) that never put two elements whose
+    flags share a bit in one block: the restricted growth list of block
+    labels and the union of the flags in each block. Both lists are updated
+    in place between items."""
+    n = len(flags)
+    labels = [0] * n
+    blocks: list[int] = []
+
+    def place(e: int) -> Iterator[tuple[list[int], list[int]]]:
+        if e == n:
+            yield labels, blocks
+            return
+        f = flags[e]
+        for i in range(len(blocks)):
+            b = blocks[i]
+            if not b & f:
+                labels[e], blocks[i] = i, b | f
+                yield from place(e + 1)
+                blocks[i] = b
+        labels[e] = len(blocks)
+        blocks.append(f)
+        yield from place(e + 1)
+        blocks.pop()
+
+    return place(0)
+
+
+def _congruence_failure(g: gram_partition.GramMatrix) -> dict | None:
+    """The first entry where G_s and Z^T D Z differ, as a failure entry, or
+    None when they agree everywhere.
+
+    (Z^T D Z)[(p,P),(q,Q)] sums D_t[T_P, T_Q] over the partitions t that are
+    p or coarser and q or coarser, i.e. the coarsenings of the join p v q,
+    on which P and Q each land on s distinct blocks. It is 0 when P or Q
+    already shares a join block. Otherwise, in terms of the c join blocks, P
+    and Q meet s distinct ones each, o of them in common; a permutation of
+    the join blocks carries the coarsenings of one such configuration onto
+    those of another with the same c and o, keeping block counts and
+    overlaps, so the sum depends on (c, o) only and is computed once for
+    each (c, o), at a canonical configuration.
+    """
+    s, rows = g.s, g.entries
+    xsub = gram_partition.x_substitution_poly
+
+    @functools.cache
+    def congruence_entry(c: int, o: int) -> Polynomial:
+        # flag bit 1 marks a join block that P meets, bit 2 one that Q meets
+        flags = [3] * o + [1] * (s - o) + [2] * (s - o) + [0] * (c - 2 * s + o)
+        terms = Counter((len(b), b.count(3)) for _, b in _coarsenings(flags))
+        acc = ZERO
+        for (blocks, shared), count in terms.items():
+            acc = acc + xsub(s, blocks - s, s - shared).scale(count)
+        return acc
+
+    runs = gram_partition._partition_runs(g.diagrams)
+    for a, (p, thr_p) in enumerate(runs):
+        for q, thr_q in runs[a:]:
+            comp_p, comp_q, c = gram_partition._join(p, q)
+            # one bit per join block a choice meets; the sum has s bits only
+            # when it meets s distinct ones
+            masks_q = [(j, sum(1 << comp_q[t - 1] for t in thr)) for j, thr in thr_q]
+            for i, thr in thr_p:
+                mask = sum(1 << comp_p[t - 1] for t in thr)
+                for j, other in masks_q:
+                    if mask.bit_count() == s == other.bit_count():
+                        want = congruence_entry(c, (mask & other).bit_count())
+                    else:
+                        want = ZERO
+                    for row, col in ((i, j), (j, i)):
+                        if rows[row][col] != want:
+                            return {
+                                "step": "congruence",
+                                "row": row,
+                                "column": col,
+                                "expected": want.to_json(),
+                                "got": rows[row][col].to_json(),
+                            }
+    return None
+
+
+def _unitriangular_failure(
+    g: gram_partition.GramMatrix, n: int
+) -> tuple[dict | None, int]:
+    """Check that Z is upper unitriangular in the row order of G_s, and count
+    its nonzero entries.
+
+    The rows must be the n = gram_side(k, s) half diagrams of shape (k, s),
+    each once. Z[(t,T),(p,P)] = 1 exactly when t is a coarsening of p on which
+    the through blocks P land on s distinct blocks, T; the identity
+    coarsening gives the diagonal, and every other one must sit above it.
+    Returns the first failure entry (or None) and nnz(Z).
+    """
+    k, s = g.k, g.s
+    index = {
+        (d.partition.block_assignment, d.through_blocks.elements): i
+        for i, d in enumerate(g.diagrams)
+    }
+    if len(index) != n or any(d.k != k or d.s != s for d in g.diagrams):
+        detail = f"the {len(g.diagrams)} rows are not the {n} half diagrams of shape ({k}, {s})"
+        return {"step": "unitriangular", "row": None, "column": None, "detail": detail}, 0
+    nnz = 0
+    for j, d in enumerate(g.diagrams):
+        flags = [0] * d.partition.block_count
+        for e in d.through_blocks.elements:
+            flags[e - 1] = 1
+        for labels, blocks in _coarsenings(flags):
+            nnz += 1
+            # labels follow the blocks of p in order of first appearance, so
+            # composing them with p's labels gives t in restricted growth form
+            t = tuple(labels[a] for a in d.partition.block_assignment)
+            thr = tuple(sorted(labels[e - 1] + 1 for e in d.through_blocks.elements))
+            i = index.get((t, thr))
+            diagonal = len(blocks) == len(flags)
+            if i is None or (i != j if diagonal else i >= j):
+                where = "missing" if i is None else "on the diagonal" if diagonal else "not above it"
+                detail = f"Z entry for a coarsening {t} of column {j} is {where}"
+                return {"step": "unitriangular", "row": i, "column": j, "detail": detail}, nnz
+    return None, nnz
+
+
+def verify_gram_det(
+    k: int,
+    s: int,
+    max_size: int = gram_partition.DEFAULT_MAX_SIZE,
+    *,
+    gram: gram_partition.GramMatrix | None = None,
+    blocks: Sequence[gram_partition.BlockSpectrum] | None = None,
+) -> VerifyReport:
+    """Certify det G_s = prod_{r,l} E_{r,l}^{mult} symbolically, sign +1
+    included, through the congruence G_s = Z^T D Z.
+
+    Four checks, none of which evaluates a determinant:
+    1. build G_s (build_gram, capped by max_size and gram_det_side);
+    2. congruence: every entry of G_s equals that of Z^T D Z;
+    3. unitriangular: Z is unitriangular in the row order of G_s, so
+       det Z = 1 and det G_s = det D = prod_t det D_t;
+    4. for each r, the Bose-Mesner certificate of A^{s+r,s}
+       (_certificate_failure) proves det D_t = prod_l E_l^{m_l} for each of
+       the stirling2(k,s+r) partitions t with s+r blocks, where E_l =
+       sum_v P_l(v) X_v is formed from the certified rows; each E_l and its
+       total multiplicity must equal block_spectrum's.
+
+    gram and blocks, when given, are build_gram(k, s) and block_spectra(k,
+    s). The report carries epsilon = 1 and det on a pass (None on a
+    failure), method "congruence", the side of G_s and z_nnz = nnz(Z); each
+    failed check gives one failure entry naming its step.
+    """
+    n = gram_det_side(k, s, max_size)
+    g = gram_partition.build_gram(k, s, max_size=max_size) if gram is None else gram
+    if blocks is None:
+        blocks = gram_partition.block_spectra(k, s)
+    failures = []
+    congruence = _congruence_failure(g)
+    if congruence is not None:
+        failures.append(congruence)
+    unitriangular, z_nnz = _unitriangular_failure(g, n)
+    if unitriangular is not None:
+        failures.append(unitriangular)
+    det = ONE
+    for spec_r in blocks:
+        r = spec_r.r
+        copies = stirling2(k, s + r)
+        if not copies:
+            # s + r = 0: no partition of k >= 1 points has 0 blocks
+            continue
+        matrix = sdm.build(s, r)
+        forms = spectrum.distinct_eigenvalues(s, r)
+        failed = _certificate_failure(matrix.levels, matrix.min_level, forms)
+        if failed is not None:
+            failures.append({"step": failed[0], "r": r, "detail": failed[1]})
+            continue
+        d = matrix.min_level
+        xs = [gram_partition.x_substitution_poly(s, r, d - v) for v in range(d + 1)]
+        certified = []
+        for f in forms:
+            e_l = ZERO
+            for c, x_v in zip(f.coeffs, xs):
+                e_l = e_l + x_v.scale(c)
+            certified.append((f.l, e_l, copies * f.multiplicity))
+        if list(spec_r.eigenpolys) != certified:
+            got = [[l, e.to_json(), m] for l, e, m in spec_r.eigenpolys]
+            want = [[l, e.to_json(), m] for l, e, m in certified]
+            failures.append({"step": "block spectrum", "r": r, "expected": want, "got": got})
+            continue
+        for _, e_l, mult in certified:
+            det = det * e_l.pow(mult)
+    passed = not failures
     return VerifyReport(
         target="gram_det",
         params={"k": k, "s": s},
         trials=1,
-        passed=not failures,
+        passed=passed,
         failures=failures,
-        extra={"epsilon": eps if eps else None, "det": det.to_json()},
+        extra={
+            "epsilon": 1 if passed else None,
+            "det": det.to_json() if passed else None,
+            "method": "congruence",
+            "side": g.n,
+            "z_nnz": z_nnz,
+        },
     )

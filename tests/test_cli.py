@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import diagram_spectra
-from diagram_spectra import oracle, spectrum
+from diagram_spectra import gram_partition, oracle, spectrum
 from diagram_spectra.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -115,7 +115,8 @@ def test_sdm_verify_unwitnessed_failure_table(monkeypatch, capsys):
     argv = ["verify", "--s", "3", "--r", "4", "--trials", "1", "--seed", "17"]
     assert sdm_main(argv + ["--out", "pretty-table"]) == EXIT_VERIFY
     assert capsys.readouterr().out == (
-        "FAIL sdm spectrum s=3 r=4 trials=1\n  trial None: substitution None\n"
+        "FAIL sdm spectrum s=3 r=4 trials=1\n"
+        "  characters: family 1 is not multiplicative at levels (0, 0)\n"
     )
     assert sdm_main(argv) == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["failures"][0]["step"] == "characters"
@@ -277,9 +278,39 @@ def test_gram_partition_cap(capsys):
 
 
 def test_gram_partition_det_cap_exits_before_enumerating(capsys):
-    # side 3 535 027 against the det cap of 120
+    # side 3 535 027 against the side cap of 3000
     assert gram_main(["partition", "--k", "11", "--s", "1", "--det"]) == EXIT_CAP
     assert "exceeds cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
+def test_gram_partition_det_k7_exits_before_building(monkeypatch, capsys, s):
+    # sides 877..4802: past the side cap of 3000 or past the congruence work
+    # cap on n^2 cells, checked before G_s is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("G_s must not be built past a cap")
+
+    monkeypatch.setattr(gram_partition, "build_gram", refuse)
+    assert gram_main(["partition", "--k", "7", "--s", str(s), "--det"]) == EXIT_CAP
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds cap" in err
+
+
+def test_gram_partition_shares_one_gram_and_one_block_list(monkeypatch, capsys):
+    calls = {"build_gram": 0, "block_spectrum": 0}
+    for name in calls:
+
+        def counted(*args, _real=getattr(gram_partition, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(gram_partition, name, counted)
+    argv = ["partition", "--k", "3", "--s", "1", "--matrix", "--det", "--roots"]
+    assert gram_main(argv) == EXIT_OK
+    # one G_s, and block_spectrum once for each of r = 0, 1, 2
+    assert calls == {"build_gram": 1, "block_spectrum": 3}
+    assert json.loads(capsys.readouterr().out)["det_sign"] == 1
 
 
 def _gram_in_subprocess(argv):

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import diagram_spectra
-from diagram_spectra import oracle, sdm, spectrum
+from diagram_spectra import gram_partition, oracle, sdm, spectrum
 from diagram_spectra.errors import SizeCapExceeded
 from diagram_spectra.oracle import (
     _MERSENNE_EXPONENTS,
@@ -19,6 +20,7 @@ from diagram_spectra.oracle import (
     verify_gram_det,
     verify_sdm_spectrum,
 )
+from diagram_spectra.cli import EXIT_VERIFY, gram_main
 from diagram_spectra.gram_partition import build_gram
 from diagram_spectra.poly import ONE, ZERO, Polynomial, X, factor_product
 
@@ -451,3 +453,169 @@ def test_verify_gram_det_3_1_full_det():
     expected = X.pow(5) * Polynomial.x_minus(2).pow(6) * Polynomial.x_minus(3)
     assert det in (expected, -expected)
     assert det.eval_at(1) != 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_verify_gram_det_equals_det_poly(k):
+    # the certified product and one integer determinant of all of G_s agree,
+    # sign included
+    for s in range(k + 1):
+        g = build_gram(k, s)
+        report = verify_gram_det(k, s)
+        assert report.passed, (k, s, report.failures)
+        assert report.extra["epsilon"] == 1
+        assert report.extra["det"] == det_poly(g.entries).to_json(), (k, s)
+        assert report.extra["method"] == "congruence"
+        assert report.extra["side"] == g.n
+
+
+@pytest.fixture
+def no_det_poly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate must not evaluate a determinant")
+
+    monkeypatch.setattr(oracle, "det_poly", refuse)
+    monkeypatch.setattr(oracle, "det_by_minors", refuse)
+    monkeypatch.setattr(oracle, "charpoly", refuse)
+
+
+def test_verify_gram_det_pass_path_runs_no_det_poly(no_det_poly):
+    for k in range(1, 6):
+        for s in range(k + 1):
+            assert verify_gram_det(k, s).passed, (k, s)
+
+
+@pytest.mark.parametrize("s, side, z_nnz", [(0, 203, 2471), (4, 155, 830)])
+def test_verify_gram_det_reaches_k6(no_det_poly, s, side, z_nnz):
+    # past det_poly's cap of 120 (side 155) and at k = 6; nnz(Z) is
+    # sum_b S(6,b) C(b,s) N(b,s), N(b,s) counting the partitions of b blocks
+    # that keep s given ones apart
+    report = verify_gram_det(6, s)
+    assert report.passed, report.failures
+    assert (report.extra["side"], report.extra["z_nnz"]) == (side, z_nnz)
+
+
+@pytest.mark.parametrize("k, s", [(20, 20), (12, 11)])
+def test_verify_gram_det_many_through_blocks_stay_cheap(no_det_poly, k, s):
+    # joins of up to k blocks: only the coarsenings that keep the through
+    # blocks apart are enumerated, not all Bell(k) of them
+    assert verify_gram_det(k, s).passed
+
+
+def _tampered_gram(k, s, i, j, value, mirror=True):
+    g = build_gram(k, s)
+    rows = [list(row) for row in g.entries]
+    rows[i][j] = value
+    if mirror:
+        rows[j][i] = value
+    return replace(g, entries=tuple(map(tuple, rows)))
+
+
+def test_verify_gram_det_rejects_changed_entry(monkeypatch, capsys):
+    # one symmetric pair of G_1 on 3 points: x where the product is 0
+    g = build_gram(3, 1)
+    i, j = next((i, j) for i in range(g.n) for j in range(i) if g.entries[i][j] == ZERO)
+    tampered = _tampered_gram(3, 1, i, j, X)
+    monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: tampered)
+    report = verify_gram_det(3, 1)
+    assert not report.passed
+    assert report.extra["epsilon"] is None and report.extra["det"] is None
+    assert report.failures == [
+        {"step": "congruence", "row": j, "column": i, "expected": [], "got": ["0", "1"]}
+    ]
+    assert gram_main(["partition", "--k", "3", "--s", "1", "--det"]) == EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out)["det"] is None
+
+
+def test_verify_gram_det_rejects_one_sided_change(monkeypatch):
+    # G_s changed below the diagonal only, between two partitions
+    g = build_gram(3, 1)
+    i, j = next(
+        (i, j)
+        for i in range(g.n)
+        for j in range(i)
+        if g.entries[i][j] == ZERO and g.diagrams[i].partition != g.diagrams[j].partition
+    )
+    tampered = _tampered_gram(3, 1, i, j, X, mirror=False)
+    monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: tampered)
+    assert verify_gram_det(3, 1).failures == [
+        {"step": "congruence", "row": i, "column": j, "expected": [], "got": ["0", "1"]}
+    ]
+
+
+def test_verify_gram_det_rejects_perturbed_substitution(monkeypatch):
+    # X_0 of the r = 1 blocks of G_1 off by one: block_spectrum follows the
+    # change, so only the congruence with the independently built G_s sees it
+    real = gram_partition.x_substitution_poly
+
+    def perturbed(s, r, t):
+        x = real(s, r, t)
+        return x + ONE if (s, r, t) == (1, 1, 1) else x
+
+    monkeypatch.setattr(gram_partition, "x_substitution_poly", perturbed)
+    report = verify_gram_det(3, 1)
+    assert [f["step"] for f in report.failures] == ["congruence"]
+
+
+def test_verify_gram_det_rejects_reordered_rows(monkeypatch):
+    # the rows in reverse, entries permuted with them: the congruence still
+    # holds entry by entry, but Z is lower triangular in this order
+    g = build_gram(3, 1)
+    order = list(reversed(range(g.n)))
+    reordered = replace(
+        g,
+        diagrams=tuple(g.diagrams[i] for i in order),
+        entries=tuple(tuple(g.entries[i][j] for j in order) for i in order),
+    )
+    monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: reordered)
+    report = verify_gram_det(3, 1)
+    assert [f["step"] for f in report.failures] == ["unitriangular"]
+    assert "not above it" in report.failures[0]["detail"]
+
+
+def test_verify_gram_det_rejects_short_basis(monkeypatch):
+    g = build_gram(3, 1)
+    short = replace(g, diagrams=g.diagrams[:-1], entries=tuple(r[:-1] for r in g.entries[:-1]))
+    monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: short)
+    report = verify_gram_det(3, 1)
+    assert not report.passed
+    assert report.failures[-1]["step"] == "unitriangular"
+    assert "not the 10 half diagrams" in report.failures[-1]["detail"]
+
+
+def test_verify_gram_det_rejects_wrong_block_spectrum():
+    blocks = gram_partition.block_spectra(3, 1)
+    l, e_l, m = blocks[1].eigenpolys[0]
+    blocks[1] = replace(blocks[1], eigenpolys=((l, e_l, m + 1),) + blocks[1].eigenpolys[1:])
+    report = verify_gram_det(3, 1, blocks=blocks)
+    assert [(f["step"], f["r"]) for f in report.failures] == [("block spectrum", 1)]
+
+
+def test_verify_gram_det_rejects_uncertified_block(monkeypatch):
+    # the closed form of A^{3,1} with a coefficient off fails its certificate
+    real = spectrum.distinct_eigenvalues
+    monkeypatch.setattr(
+        spectrum,
+        "distinct_eigenvalues",
+        lambda s, r: _perturbed(real(s, r), 1, 0) if (s, r) == (1, 2) else real(s, r),
+    )
+    report = verify_gram_det(3, 1)
+    assert [(f["step"], f["r"]) for f in report.failures] == [("characters", 2)]
+
+
+@pytest.mark.parametrize("s", [0, 4])
+def test_verify_gram_det_work_cap(monkeypatch, s):
+    # (7, 0) and (7, 4): sides 877 and 1400 pass the side cap of 3000, but
+    # their n^2 cells do not pass MAX_CONGRUENCE_CELLS; nothing is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("G_s must not be built past the work cap")
+
+    monkeypatch.setattr(gram_partition, "build_gram", refuse)
+    with pytest.raises(SizeCapExceeded, match="congruence cells"):
+        verify_gram_det(7, s)
+
+
+def test_gram_det_side_caps():
+    assert oracle.gram_det_side(6, 2) == 856
+    with pytest.raises(SizeCapExceeded, match="G_1 on 3 points: size 10 exceeds cap 5"):
+        oracle.gram_det_side(3, 1, max_size=5)
