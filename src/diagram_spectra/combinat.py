@@ -11,6 +11,10 @@ matrix rows are addressed by position. The orders used here:
 * set_partitions(n, b): lexicographic on the restricted-growth string,
   e.g. for n=3, b=2: 001 ({1,2}{3}) < 010 ({1,3}{2}) < 011 ({1}{2,3}).
 
+restricted_growth is the one set-partition enumerator, behind set_partitions
+and the coarsenings of oracle's Gram certificate. It keeps its place in a
+list, not on the call stack, so any number of points works.
+
 All counts are Python ints, so nothing overflows.
 """
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 
 def binomial(n: int, k: int) -> int:
@@ -59,10 +64,6 @@ class Subset:
 
     def __contains__(self, e: int) -> bool:
         return e in self.elements
-
-    def complement(self, n: int) -> "Subset":
-        inside = set(self.elements)
-        return Subset(tuple(e for e in range(1, n + 1) if e not in inside))
 
 
 def k_subsets(n: int, k: int) -> list[Subset]:
@@ -119,27 +120,59 @@ class SetPartition:
         return "".join(str(b) for b in self.block_assignment)
 
 
+def restricted_growth(
+    flags: Sequence[int], blocks: int | None = None
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Set partitions of range(len(flags)) that never put two elements whose
+    flags share a bit in one block, with exactly `blocks` blocks when it is
+    given, in lexicographic order of the restricted-growth string.
+
+    Each item is the list of block labels and the list of each block's
+    union of flags; both are updated in place between items.
+    """
+    n = len(flags)
+    labels = [0] * n
+    unions: list[int] = []
+    openers: list[int] = []  # the element that opened each block
+    i, lab = 0, 0  # the next label to try for element i
+    while i >= 0:
+        m = len(unions)
+        if i == n:
+            if blocks is None or m == blocks:
+                yield labels, unions
+            lab = m + 1
+        else:
+            f = flags[i]
+            # the n - 1 - i elements after i open at most one block each
+            if blocks is not None and blocks - m > n - 1 - i:
+                lab = max(lab, m)
+            while lab < m and unions[lab] & f:
+                lab += 1
+        if lab < m:
+            unions[lab] |= f
+        elif lab == m and m != blocks:
+            unions.append(f)
+            openers.append(i)
+        else:
+            # no label left for element i: take back element i - 1's
+            i -= 1
+            if i >= 0:
+                lab = labels[i]
+                if openers[-1] == i:
+                    unions.pop()
+                    openers.pop()
+                else:
+                    unions[lab] ^= flags[i]
+                lab += 1
+            continue
+        labels[i] = lab
+        i, lab = i + 1, 0
+
+
 def set_partitions(n: int, b: int) -> list[SetPartition]:
     """All partitions of {1..n} into exactly b blocks, RGS-lexicographic."""
     if n < 1 or b < 1:
         raise ValueError(f"set_partitions: need n, b >= 1, got ({n}, {b})")
     if b > n:
         raise ValueError(f"set_partitions: b={b} exceeds n={n}")
-    out: list[SetPartition] = []
-    rgs = [0] * n
-
-    def extend(i: int, mx: int) -> None:
-        if i == n:
-            if mx + 1 == b:
-                out.append(SetPartition(tuple(rgs)))
-            return
-        # labels must stay reachable: remaining points must cover b labels
-        for lab in range(min(mx + 1, b - 1) + 1):
-            new_mx = max(mx, lab)
-            if (b - 1 - new_mx) <= (n - 1 - i):
-                rgs[i] = lab
-                extend(i + 1, new_mx)
-        rgs[i] = 0
-
-    extend(1, 0)
-    return out
+    return [SetPartition(tuple(labels)) for labels, _ in restricted_growth([0] * n, b)]

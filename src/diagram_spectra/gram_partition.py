@@ -11,7 +11,10 @@ classes of each side land on s distinct join blocks, the same s for both
 sides, the entry is x^(c-s): every other join block collapses to a loop worth
 a factor of x. Otherwise the propagating number of the product has dropped
 and the entry is 0. The entry depends on the two partitions only through
-their join, so build_gram forms one join per pair of partitions.
+their join, so join_masks forms one join per pair of partitions and turns
+each row's through choice into the set of join blocks it lands on. That
+pass is the only one over pairs of partitions: build_gram reads G_s off
+it, and oracle's congruence check reads Z^T D Z off it.
 
 Paired row and column operations reduce G_s to a block-diagonal matrix with
 stirling2(k,s+r) identical blocks for each r, and each block is a symmetric
@@ -27,8 +30,10 @@ the E_{r,l} are eigenvalues of D only. Z[(t,T),(p,P)] is 1 when the partition
 t is p or coarser and the through blocks P land on s distinct blocks of t,
 exactly T, and 0 otherwise; D is block-diagonal over the partitions t, its
 t-block being A^{|t|,s} with entry (T,T') = X substituted at overlap |T cap T'|.
-Z is unitriangular in the row order of enumerate_half_diagrams (a strictly
-coarser t has fewer blocks, so it comes first), so det Z = 1 and
+Z is upper unitriangular in the row order of enumerate_half_diagrams: the
+only coarsening of p with as many blocks as p is p itself, which gives the
+diagonal, and every other one has fewer blocks, so its rows come first.
+Hence det Z = 1 and
 
     det G_s = det D = prod_{r,l} E_{r,l}^{stirling2(k,s+r)*m_l(s,r)},
 
@@ -51,7 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .combinat import SetPartition, Subset, binomial, k_subsets, set_partitions, stirling2
 from .errors import SizeCapExceeded
@@ -120,32 +125,6 @@ def enumerate_half_diagrams(k: int, s: int) -> list[HalfDiagram]:
     return out
 
 
-def _join(p: SetPartition, q: SetPartition) -> tuple[list[int], list[int], int]:
-    """Join of two set partitions of the same points, as a union-find over
-    their blocks: a label below p.block_count + q.block_count for the join
-    block of each block of p and of each block of q, and the number of join
-    blocks."""
-    bp = p.block_count
-    parent = list(range(bp + q.block_count))
-    c = len(parent)
-    # each point ties its block in p to its block in q
-    for a, b in zip(p.block_assignment, q.block_assignment):
-        b += bp
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a != b:
-            parent[b] = a
-            c -= 1
-    comp = []
-    for a in parent:
-        while parent[a] != a:
-            a = parent[a]
-        comp.append(a)
-    return comp[:bp], comp[bp:], c
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     k: int
@@ -168,15 +147,44 @@ def gram_side(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> int:
     return n
 
 
-def _partition_runs(
+def join_masks(
     diagrams: Sequence[HalfDiagram],
-) -> list[tuple[SetPartition, list[tuple[int, tuple[int, ...]]]]]:
-    """One run per maximal stretch of rows that share a partition, as the
-    partition and its (row, through choice) pairs."""
-    return [
+) -> Iterator[tuple[int, list[tuple[int, int]], list[tuple[int, int]]]]:
+    """One item per pair of runs of rows, a run being a maximal stretch of
+    rows that share a partition, with p's run at or before q's: the number c
+    of blocks of the join p v q, and (row, mask) for each row of p and each
+    row of q. A mask has one bit per join block that the row's through
+    blocks land on, so it has s bits only when they land on s distinct ones.
+    Every cell (i, j) is in some item as (i, j) or (j, i), in any row order.
+    """
+    runs = [
         (p, [(i, d.through_blocks.elements) for i, d in run])
         for p, run in itertools.groupby(enumerate(diagrams), key=lambda e: e[1].partition)
     ]
+    for a, (p, thr_p) in enumerate(runs):
+        for q, thr_q in runs[a:]:
+            # the join as a union-find over the blocks of p and then of q;
+            # each point ties its block in p to its block in q
+            bp = p.block_count
+            parent = list(range(bp + q.block_count))
+            c = len(parent)
+            for x, y in zip(p.block_assignment, q.block_assignment):
+                y += bp
+                while parent[x] != x:
+                    x = parent[x]
+                while parent[y] != y:
+                    y = parent[y]
+                if x != y:
+                    parent[y] = x
+                    c -= 1
+            comp = []
+            for x in parent:
+                while parent[x] != x:
+                    x = parent[x]
+                comp.append(x)
+            masks_p = [(i, sum(1 << comp[t - 1] for t in thr)) for i, thr in thr_p]
+            masks_q = [(j, sum(1 << comp[bp + t - 1] for t in thr)) for j, thr in thr_q]
+            yield c, masks_p, masks_q
 
 
 def build_gram(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> GramMatrix:
@@ -184,23 +192,16 @@ def build_gram(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> GramMatrix:
     is checked on the side before anything is enumerated."""
     n = gram_side(k, s, max_size)
     diagrams = enumerate_half_diagrams(k, s)
-    # a partition's rows are consecutive, so each partition makes one run
-    runs = _partition_runs(diagrams)
-    powers = [X.pow(m) for m in range(k + 1)]
+    # a join has at most k blocks, so an entry is x^m with m <= k - s
+    powers = [X.pow(m) for m in range(k - s + 1)]
     rows = [[ZERO] * n for _ in range(n)]
-    for a, (p, thr_p) in enumerate(runs):
-        for q, thr_q in runs[a:]:
-            comp_p, comp_q, c = _join(p, q)
-            # a choice's mask has one bit per join block it lands on; a sum of
-            # s powers of two has s bits only when the powers are distinct
-            masks_q = [(j, sum(1 << comp_q[t - 1] for t in thr)) for j, thr in thr_q]
-            for i, thr in thr_p:
-                mask = sum(1 << comp_p[t - 1] for t in thr)
-                if mask.bit_count() != s:
-                    continue
-                for j, other in masks_q:
-                    if other == mask:
-                        rows[i][j] = rows[j][i] = powers[c - s]
+    for c, masks_p, masks_q in join_masks(diagrams):
+        for i, mask in masks_p:
+            if mask.bit_count() != s:
+                continue
+            for j, other in masks_q:
+                if other == mask:
+                    rows[i][j] = rows[j][i] = powers[c - s]
     return GramMatrix(
         k=k, s=s, diagrams=tuple(diagrams), entries=tuple(tuple(row) for row in rows)
     )

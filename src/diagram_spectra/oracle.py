@@ -33,12 +33,16 @@ to find witnesses.
 
 verify_gram_det certifies det G_s = prod_{r,l} E_{r,l}^{mult}, sign +1
 included, without evaluating a determinant. It checks the paper's reduction
-as a congruence G_s = Z^T D Z entry by entry, grouped by pairs of partitions
-(see gram_partition), checks that Z is unitriangular in the row order of
-G_s, so det G_s = det D, and certifies the determinant of each block of D,
-a substituted A^{s+r,s}, with the certificate above. Its work is the n^2
-cells of G_s, capped by MAX_CONGRUENCE_CELLS; det_poly stays as an
-independent cross-check in the tests.
+as a congruence G_s = Z^T D Z entry by entry, on the same pass over pairs
+of partitions that builds G_s (gram_partition.join_masks); an entry of
+Z^T D Z sums over the coarsenings of a join that keep two through choices
+apart, enumerated by combinat.restricted_growth. Z is unitriangular in the
+row order of G_s, so det G_s = det D, because every coarsening of a
+partition other than itself has fewer blocks and the block counts of the
+rows never decrease. Each block of D, a substituted A^{s+r,s}, is certified
+with the certificate above. Its work is the n^2 cells of G_s, capped by
+MAX_CONGRUENCE_CELLS; det_poly stays as an independent cross-check in the
+tests.
 
 Both verify_* functions produce machine-readable reports; failures are
 reported with witnesses, never raised.
@@ -52,10 +56,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter, mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import gram_partition, sdm, spectrum
-from .combinat import stirling2
+from .combinat import binomial, restricted_growth, stirling2
 from .errors import SizeCapExceeded
 from .poly import ONE, ZERO, Polynomial
 
@@ -404,34 +408,6 @@ def gram_det_side(k: int, s: int, max_size: int = gram_partition.DEFAULT_MAX_SIZ
     return n
 
 
-def _coarsenings(flags: Sequence[int]) -> Iterator[tuple[list[int], list[int]]]:
-    """Set partitions of range(len(flags)) that never put two elements whose
-    flags share a bit in one block: the restricted growth list of block
-    labels and the union of the flags in each block. Both lists are updated
-    in place between items."""
-    n = len(flags)
-    labels = [0] * n
-    blocks: list[int] = []
-
-    def place(e: int) -> Iterator[tuple[list[int], list[int]]]:
-        if e == n:
-            yield labels, blocks
-            return
-        f = flags[e]
-        for i in range(len(blocks)):
-            b = blocks[i]
-            if not b & f:
-                labels[e], blocks[i] = i, b | f
-                yield from place(e + 1)
-                blocks[i] = b
-        labels[e] = len(blocks)
-        blocks.append(f)
-        yield from place(e + 1)
-        blocks.pop()
-
-    return place(0)
-
-
 def _congruence_failure(g: gram_partition.GramMatrix) -> dict | None:
     """The first entry where G_s and Z^T D Z differ, as a failure entry, or
     None when they agree everywhere.
@@ -453,76 +429,55 @@ def _congruence_failure(g: gram_partition.GramMatrix) -> dict | None:
     def congruence_entry(c: int, o: int) -> Polynomial:
         # flag bit 1 marks a join block that P meets, bit 2 one that Q meets
         flags = [3] * o + [1] * (s - o) + [2] * (s - o) + [0] * (c - 2 * s + o)
-        terms = Counter((len(b), b.count(3)) for _, b in _coarsenings(flags))
+        terms = Counter((len(u), u.count(3)) for _, u in restricted_growth(flags))
         acc = ZERO
         for (blocks, shared), count in terms.items():
             acc = acc + xsub(s, blocks - s, s - shared).scale(count)
         return acc
 
-    runs = gram_partition._partition_runs(g.diagrams)
-    for a, (p, thr_p) in enumerate(runs):
-        for q, thr_q in runs[a:]:
-            comp_p, comp_q, c = gram_partition._join(p, q)
-            # one bit per join block a choice meets; the sum has s bits only
-            # when it meets s distinct ones
-            masks_q = [(j, sum(1 << comp_q[t - 1] for t in thr)) for j, thr in thr_q]
-            for i, thr in thr_p:
-                mask = sum(1 << comp_p[t - 1] for t in thr)
-                for j, other in masks_q:
-                    if mask.bit_count() == s == other.bit_count():
-                        want = congruence_entry(c, (mask & other).bit_count())
-                    else:
-                        want = ZERO
-                    for row, col in ((i, j), (j, i)):
-                        if rows[row][col] != want:
-                            return {
-                                "step": "congruence",
-                                "row": row,
-                                "column": col,
-                                "expected": want.to_json(),
-                                "got": rows[row][col].to_json(),
-                            }
+    for c, masks_p, masks_q in gram_partition.join_masks(g.diagrams):
+        for i, mask in masks_p:
+            for j, other in masks_q:
+                if mask.bit_count() == s == other.bit_count():
+                    want = congruence_entry(c, (mask & other).bit_count())
+                else:
+                    want = ZERO
+                for row, col in ((i, j), (j, i)):
+                    if rows[row][col] != want:
+                        return {
+                            "step": "congruence",
+                            "row": row,
+                            "column": col,
+                            "expected": want.to_json(),
+                            "got": rows[row][col].to_json(),
+                        }
     return None
 
 
-def _unitriangular_failure(
-    g: gram_partition.GramMatrix, n: int
-) -> tuple[dict | None, int]:
-    """Check that Z is upper unitriangular in the row order of G_s, and count
-    its nonzero entries.
+def _unitriangular_failure(g: gram_partition.GramMatrix, n: int) -> dict | None:
+    """Check that Z is upper unitriangular in the row order of G_s.
 
-    The rows must be the n = gram_side(k, s) half diagrams of shape (k, s),
-    each once. Z[(t,T),(p,P)] = 1 exactly when t is a coarsening of p on which
-    the through blocks P land on s distinct blocks, T; the identity
-    coarsening gives the diagonal, and every other one must sit above it.
-    Returns the first failure entry (or None) and nnz(Z).
+    Z[(t,T),(p,P)] = 1 exactly when t is a coarsening of p on which the
+    through blocks P land on s distinct blocks, T. The identity coarsening
+    gives the entry at ((p,P),(p,P)), and any other coarsening of p has
+    fewer blocks than p. So Z is upper unitriangular when the rows are the
+    n = gram_side(k, s) half diagrams of shape (k, s), each once, and their
+    block counts never decrease: then every row of Z is a row of G_s, and a
+    coarsening other than the identity sits above the diagonal. Any other
+    order fails here, even one in which Z happens to be triangular.
+    Returns the first failure entry, or None.
     """
     k, s = g.k, g.s
-    index = {
-        (d.partition.block_assignment, d.through_blocks.elements): i
-        for i, d in enumerate(g.diagrams)
-    }
-    if len(index) != n or any(d.k != k or d.s != s for d in g.diagrams):
+    distinct = {(d.partition.block_assignment, d.through_blocks.elements) for d in g.diagrams}
+    if len(distinct) != n or any(d.k != k or d.s != s for d in g.diagrams):
         detail = f"the {len(g.diagrams)} rows are not the {n} half diagrams of shape ({k}, {s})"
-        return {"step": "unitriangular", "row": None, "column": None, "detail": detail}, 0
-    nnz = 0
-    for j, d in enumerate(g.diagrams):
-        flags = [0] * d.partition.block_count
-        for e in d.through_blocks.elements:
-            flags[e - 1] = 1
-        for labels, blocks in _coarsenings(flags):
-            nnz += 1
-            # labels follow the blocks of p in order of first appearance, so
-            # composing them with p's labels gives t in restricted growth form
-            t = tuple(labels[a] for a in d.partition.block_assignment)
-            thr = tuple(sorted(labels[e - 1] + 1 for e in d.through_blocks.elements))
-            i = index.get((t, thr))
-            diagonal = len(blocks) == len(flags)
-            if i is None or (i != j if diagonal else i >= j):
-                where = "missing" if i is None else "on the diagonal" if diagonal else "not above it"
-                detail = f"Z entry for a coarsening {t} of column {j} is {where}"
-                return {"step": "unitriangular", "row": i, "column": j, "detail": detail}, nnz
-    return None, nnz
+        return {"step": "unitriangular", "row": None, "column": None, "detail": detail}
+    counts = [d.partition.block_count for d in g.diagrams]
+    for j in range(1, n):
+        if counts[j] < counts[j - 1]:
+            detail = f"rows {j - 1}, {j}: block counts fall, so a coarsening may be not above it"
+            return {"step": "unitriangular", "row": j, "column": j - 1, "detail": detail}
+    return None
 
 
 def verify_gram_det(
@@ -539,7 +494,8 @@ def verify_gram_det(
     Four checks, none of which evaluates a determinant:
     1. build G_s (build_gram, capped by max_size and gram_det_side);
     2. congruence: every entry of G_s equals that of Z^T D Z;
-    3. unitriangular: Z is unitriangular in the row order of G_s, so
+    3. unitriangular: the rows are the half diagrams of shape (k, s), each
+       once, with block counts that never decrease, so Z is unitriangular,
        det Z = 1 and det G_s = det D = prod_t det D_t;
     4. for each r, the Bose-Mesner certificate of A^{s+r,s}
        (_certificate_failure) proves det D_t = prod_l E_l^{m_l} for each of
@@ -557,12 +513,17 @@ def verify_gram_det(
     if blocks is None:
         blocks = gram_partition.block_spectra(k, s)
     failures = []
-    congruence = _congruence_failure(g)
-    if congruence is not None:
-        failures.append(congruence)
-    unitriangular, z_nnz = _unitriangular_failure(g, n)
-    if unitriangular is not None:
-        failures.append(unitriangular)
+    for failed in (_congruence_failure(g), _unitriangular_failure(g, n)):
+        if failed is not None:
+            failures.append(failed)
+    # nnz(Z): a column (p, P), p with b blocks, has one entry per coarsening
+    # of p that keeps the s blocks of P apart, N(b, s) of them
+    z_nnz = sum(
+        stirling2(k, b)
+        * binomial(b, s)
+        * sum(1 for _ in restricted_growth([1] * s + [0] * (b - s)))
+        for b in range(s, k + 1)
+    )
     det = ONE
     for spec_r in blocks:
         r = spec_r.r

@@ -336,6 +336,16 @@ def test_gram_partition_many_points_no_traceback():
     assert [b["copies"] for b in data["blocks"]] == [1200 * 1199 // 2, 1]
 
 
+@pytest.mark.parametrize("flag", ["--matrix", "--det"])
+def test_gram_partition_one_partition_many_points_no_traceback(flag):
+    # G_1200 on 1200 points has side 1, but its one partition has 1200 blocks
+    data = _gram_in_subprocess(["partition", "--k", "1200", "--s", "1200", flag])
+    if flag == "--matrix":
+        assert data["matrix"]["n"] == 1 and data["matrix"]["entries"] == [[["1"]]]
+    else:
+        assert (data["det_sign"], data["det"]) == (1, ["1"])
+
+
 def test_gram_partition_roots_many_points_no_traceback():
     # trailing coefficients reach 111 bits, so a divisor scan up to their
     # square root would not end; the scan stops at a root bound instead

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from diagram_spectra.combinat import (
@@ -5,6 +8,7 @@ from diagram_spectra.combinat import (
     Subset,
     binomial,
     k_subsets,
+    restricted_growth,
     set_partitions,
     stirling2,
 )
@@ -89,11 +93,6 @@ def test_subset_validation():
         Subset((1, 1))
 
 
-def test_subset_complement():
-    assert Subset((1, 3)).complement(4).elements == (2, 4)
-    assert Subset(()).complement(2).elements == (1, 2)
-
-
 def test_set_partitions_examples():
     assert [str(p) for p in set_partitions(2, 2)] == ["01"]
     assert [str(p) for p in set_partitions(2, 1)] == ["00"]
@@ -112,6 +111,41 @@ def test_set_partitions_counts_and_order():
             assert len(set(strings)) == len(strings)
             for p in parts:
                 assert p.block_count == b
+
+
+def test_set_partitions_many_points():
+    # one step per point, far past the interpreter's recursion limit
+    assert [p.block_assignment for p in set_partitions(1200, 1200)] == [tuple(range(1200))]
+
+
+def _brute_restricted_growth(flags):
+    # every label string with label i at most i (each restricted-growth
+    # string is one), kept when it is one and keeps flagged elements apart;
+    # itertools.product yields them in lexicographic order
+    out = []
+    for labels in itertools.product(*(range(i + 1) for i in range(len(flags)))):
+        if any(lab > max(labels[:i], default=-1) + 1 for i, lab in enumerate(labels)):
+            continue
+        unions = [0] * (max(labels, default=-1) + 1)
+        for lab, f in zip(labels, flags):
+            if unions[lab] & f:
+                break
+            unions[lab] |= f
+        else:
+            out.append((labels, tuple(unions)))
+    return out
+
+
+def test_restricted_growth_matches_brute_force():
+    rng = random.Random(0)
+    for n in range(8):
+        vectors = [[0] * n, [1] * n, [1, 2, 3, 0, 1, 2, 3][:n]]
+        vectors += [[rng.randrange(4) for _ in range(n)] for _ in range(6)]
+        for flags in vectors:
+            want = _brute_restricted_growth(flags)
+            for blocks in [None] + list(range(n + 2)):
+                got = [(tuple(l), tuple(u)) for l, u in restricted_growth(flags, blocks)]
+                assert got == [w for w in want if blocks in (None, len(w[1]))], (flags, blocks)
 
 
 def test_set_partitions_rejections():

@@ -495,11 +495,40 @@ def test_verify_gram_det_reaches_k6(no_det_poly, s, side, z_nnz):
     assert (report.extra["side"], report.extra["z_nnz"]) == (side, z_nnz)
 
 
-@pytest.mark.parametrize("k, s", [(20, 20), (12, 11)])
+@pytest.mark.parametrize("k, s", [(20, 20), (12, 11), (1200, 1200)])
 def test_verify_gram_det_many_through_blocks_stay_cheap(no_det_poly, k, s):
     # joins of up to k blocks: only the coarsenings that keep the through
-    # blocks apart are enumerated, not all Bell(k) of them
+    # blocks apart are enumerated, not all Bell(k) of them; at k = 1200 the
+    # enumeration is far past the interpreter's recursion limit
     assert verify_gram_det(k, s).passed
+
+
+def _z_entry(row, column):
+    # Z[(t,T),(p,P)] = 1 when p refines t and the blocks P land on s
+    # distinct blocks of t, exactly T
+    image = {}
+    for a, b in zip(column.partition.block_assignment, row.partition.block_assignment):
+        if image.setdefault(a, b) != b:
+            return 0
+    landed = {image[e - 1] + 1 for e in column.through_blocks.elements}
+    return int(landed == set(row.through_blocks.elements))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_verify_gram_det_z_nnz_counts_z(k):
+    # Z from its definition: upper unitriangular in the row order of G_s,
+    # with z_nnz nonzero entries
+    for s in range(k + 1):
+        diagrams = gram_partition.enumerate_half_diagrams(k, s)
+        nonzero = [
+            (i, j)
+            for i, row in enumerate(diagrams)
+            for j, column in enumerate(diagrams)
+            if _z_entry(row, column)
+        ]
+        assert all(i <= j for i, j in nonzero), (k, s)
+        assert {(i, i) for i in range(len(diagrams))} <= set(nonzero), (k, s)
+        assert verify_gram_det(k, s).extra["z_nnz"] == len(nonzero), (k, s)
 
 
 def _tampered_gram(k, s, i, j, value, mirror=True):
@@ -568,6 +597,41 @@ def test_verify_gram_det_rejects_reordered_rows(monkeypatch):
         entries=tuple(tuple(g.entries[i][j] for j in order) for i in order),
     )
     monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: reordered)
+    report = verify_gram_det(3, 1)
+    assert [f["step"] for f in report.failures] == ["unitriangular"]
+    assert "not above it" in report.failures[0]["detail"]
+
+
+def _swapped_rows(g, i, j):
+    order = list(range(g.n))
+    order[i], order[j] = j, i
+    return replace(
+        g,
+        diagrams=tuple(g.diagrams[a] for a in order),
+        entries=tuple(tuple(g.entries[a][b] for b in order) for a in order),
+    )
+
+
+def test_verify_gram_det_accepts_swap_within_block_count(monkeypatch):
+    # the first and last rows with two blocks, entries permuted with them:
+    # their partitions' runs split, and Z stays upper unitriangular
+    g = build_gram(3, 1)
+    two = [i for i, d in enumerate(g.diagrams) if d.partition.block_count == 2]
+    assert g.diagrams[two[0]].partition != g.diagrams[two[-1]].partition
+    swapped = _swapped_rows(g, two[0], two[-1])
+    monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: swapped)
+    report = verify_gram_det(3, 1)
+    assert report.passed, report.failures
+    assert report.to_json_dict() == verify_gram_det(3, 1, gram=g).to_json_dict()
+
+
+def test_verify_gram_det_rejects_swap_across_block_counts(monkeypatch):
+    # the last row with two blocks and the first with three: the congruence
+    # still holds entry by entry, but the block counts fall
+    g = build_gram(3, 1)
+    i = max(i for i, d in enumerate(g.diagrams) if d.partition.block_count == 2)
+    swapped = _swapped_rows(g, i, i + 1)
+    monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: swapped)
     report = verify_gram_det(3, 1)
     assert [f["step"] for f in report.failures] == ["unitriangular"]
     assert "not above it" in report.failures[0]["detail"]

@@ -123,7 +123,7 @@ def test_duality_via_complement(s, r):
     n = s + r
     pos_rs = {sub.elements: i for i, sub in enumerate(k_subsets(n, r))}
     sigma = [
-        pos_rs[sub.complement(n).elements] for sub in k_subsets(n, s)
+        pos_rs[tuple(e for e in range(1, n + 1) if e not in sub)] for sub in k_subsets(n, s)
     ]
     for i in range(m_sr.n):
         for j in range(m_sr.n):
