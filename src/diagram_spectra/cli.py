@@ -187,17 +187,13 @@ def sdm_main(argv: Sequence[str] | None = None) -> int:
 
 def _gram_partition(args: argparse.Namespace) -> Result:
     k, s = args.k, args.s
-    if k < 1 or not (0 <= s <= k):
-        raise ValueError(f"need k >= 1 and 0 <= s <= k, got k={k}, s={s}")
     if args.det:
         # refuse the certificate's work before G_s is built
         oracle.gram_det_side(k, s, args.max_size)
     gram = gram_partition.build_gram(k, s, args.max_size) if args.matrix or args.det else None
     blocks = gram_partition.block_spectra(k, s)
 
-    det_report = (
-        oracle.verify_gram_det(k, s, args.max_size, gram=gram, blocks=blocks) if args.det else None
-    )
+    det_report = oracle.verify_gram_det(k, s, args.max_size, gram=gram) if args.det else None
     det_sign = det_report.extra["epsilon"] if det_report is not None else None
     singular = gram_partition.semisimple_exceptions(k, s, blocks=blocks) if args.roots else None
 

@@ -68,18 +68,19 @@ DEFAULT_MAX_SIZE = 3000
 
 @dataclass(frozen=True)
 class HalfDiagram:
-    k: int
     partition: SetPartition
     through_blocks: Subset
 
     def __post_init__(self) -> None:
-        if self.partition.n != self.k:
-            raise ValueError(f"partition covers {self.partition.n} points, expected {self.k}")
         nb = self.partition.block_count
         if self.through_blocks.elements and self.through_blocks.elements[-1] > nb:
             raise ValueError(
                 f"through block index {self.through_blocks.elements[-1]} exceeds {nb} blocks"
             )
+
+    @property
+    def k(self) -> int:
+        return self.partition.n
 
     @property
     def s(self) -> int:
@@ -100,10 +101,8 @@ class HalfDiagram:
 
 
 def _check_shape(k: int, s: int) -> None:
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if not (0 <= s <= k):
-        raise ValueError(f"need 0 <= s <= k, got s={s}, k={k}")
+    if k < 1 or not (0 <= s <= k):
+        raise ValueError(f"need k >= 1 and 0 <= s <= k, got k={k}, s={s}")
 
 
 def enumerate_half_diagrams(k: int, s: int) -> list[HalfDiagram]:
@@ -121,7 +120,7 @@ def enumerate_half_diagrams(k: int, s: int) -> list[HalfDiagram]:
         choices = k_subsets(nb, s)
         for part in set_partitions(k, nb):
             for thr in choices:
-                out.append(HalfDiagram(k=k, partition=part, through_blocks=thr))
+                out.append(HalfDiagram(partition=part, through_blocks=thr))
     return out
 
 

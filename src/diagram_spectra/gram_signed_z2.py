@@ -20,6 +20,11 @@ count), so callers supply copy counts when they aggregate.
 
 Block ranges, with K = k - s1 - s2: Z2-relations mode allows
 0 <= r1, r2 <= K; signed mode additionally requires r2 <= K - 1.
+_block_ranges is the one place that states this rule and its errors, for
+SignedBlockKey.validate and to_json_dict alike. to_json_dict counts the
+coefficients its report would hold from the shape alone, in closed form,
+and raises SizeCapExceeded past MAX_REPORT_COEFFS before forming any
+polynomial.
 
 The signed case has one extra block with no tensor structure, built by
 build_exceptional_block: it collects the diagrams whose underlying partition
@@ -36,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import SizeCapExceeded
 from .gram_partition import x_substitution_poly
 from .poly import Polynomial, factor_product
 from .spectrum import substituted_spectrum
@@ -58,6 +64,17 @@ def x_e_poly(s1: int, r1: int, t: int) -> Polynomial:
 x_z2_poly = x_substitution_poly
 
 
+def _block_ranges(k: int, s1: int, s2: int, mode: str) -> tuple[int, int]:
+    """The largest r1 and r2 of the mode's blocks: K and K, or K and K - 1
+    in signed mode. Raises ValueError on a bad mode or a negative k, s1, s2 or K."""
+    if mode not in ("z2", "signed"):
+        raise ValueError(f"mode must be 'z2' or 'signed', got {mode!r}")
+    cap = k - s1 - s2
+    if min(k, s1, s2) < 0 or cap < 0:
+        raise ValueError(f"invalid parameters k={k}, s1={s1}, s2={s2}")
+    return cap, cap - 1 if mode == "signed" else cap
+
+
 @dataclass(frozen=True)
 class SignedBlockKey:
     k: int
@@ -67,17 +84,10 @@ class SignedBlockKey:
     r2: int
 
     def validate(self, mode: str) -> None:
-        if mode not in ("z2", "signed"):
-            raise ValueError(f"mode must be 'z2' or 'signed', got {mode!r}")
-        if min(self.k, self.s1, self.s2, self.r1, self.r2) < 0:
-            raise ValueError("all parameters must be nonnegative")
-        cap = self.k - self.s1 - self.s2
-        if cap < 0:
-            raise ValueError(f"s1+s2={self.s1 + self.s2} exceeds k={self.k}")
-        if self.r1 > cap:
+        cap, r2_cap = _block_ranges(self.k, self.s1, self.s2, mode)
+        if not 0 <= self.r1 <= cap:
             raise ValueError(f"r1={self.r1} out of range 0..{cap}")
-        r2_cap = cap - 1 if mode == "signed" else cap
-        if self.r2 > r2_cap:
+        if not 0 <= self.r2 <= r2_cap:
             raise ValueError(f"r2={self.r2} out of range 0..{r2_cap} in {mode} mode")
 
 
@@ -132,14 +142,39 @@ def build_exceptional_block(k: int, s1: int, s2: int) -> list[list[Polynomial]]:
     return out
 
 
+# every k <= 6 shape is far under (at most 621); (30, 8, 8) has 265 518
+MAX_REPORT_COEFFS = 300_000
+
+
+def _report_coeffs(s1: int, s2: int, cap: int, r2_cap: int) -> int:
+    """The number of coefficients to_json_dict emits for r1 <= cap and
+    r2 <= r2_cap, the sum over its blocks of (min(s1,r1)+1)(min(s2,r2)+1)
+    (2r1+r2+1): families times the coefficients of an eigenpoly of degree
+    2r1+r2. The sum factors into sums over r1 and over r2 alone, each in
+    closed form, so the count costs the same at any k."""
+
+    def sums(s: int, top: int) -> tuple[int, int]:
+        # sum_{r=0}^{top} (min(s,r)+1) r^e for e = 0, 1: r + 1 up to
+        # m = min(s, top), then s + 1
+        m = min(s, top)
+        return (
+            (m + 1) * (m + 2) // 2 + (s + 1) * (top - m),
+            m * (m + 1) * (m + 2) // 3 + (s + 1) * (top * (top + 1) - m * (m + 1)) // 2,
+        )
+
+    a0, a1 = sums(s1, cap)
+    b0, b1 = sums(s2, r2_cap)
+    return 2 * a1 * b0 + a0 * b1 + a0 * b0
+
+
 def to_json_dict(k: int, s1: int, s2: int, mode: str) -> dict:
-    """Spectrum report over all (r1, r2) blocks valid for the mode."""
-    if mode not in ("z2", "signed"):
-        raise ValueError(f"mode must be 'z2' or 'signed', got {mode!r}")
-    cap = k - s1 - s2
-    if min(k, s1, s2) < 0 or cap < 0:
-        raise ValueError(f"invalid parameters k={k}, s1={s1}, s2={s2}")
-    r2_cap = cap - 1 if mode == "signed" else cap
+    """Spectrum report over all (r1, r2) blocks valid for the mode. Raises
+    SizeCapExceeded, before any polynomial is formed, when the report would
+    hold more than MAX_REPORT_COEFFS coefficients."""
+    cap, r2_cap = _block_ranges(k, s1, s2, mode)
+    coeffs = _report_coeffs(s1, s2, cap, r2_cap)
+    if coeffs > MAX_REPORT_COEFFS:
+        raise SizeCapExceeded(f"gram {mode} report coefficients", coeffs, MAX_REPORT_COEFFS)
     blocks = []
     for r1 in range(0, cap + 1):
         for r2 in range(0, r2_cap + 1):

@@ -40,9 +40,10 @@ apart, enumerated by combinat.restricted_growth. Z is unitriangular in the
 row order of G_s, so det G_s = det D, because every coarsening of a
 partition other than itself has fewer blocks and the block counts of the
 rows never decrease. Each block of D, a substituted A^{s+r,s}, is certified
-with the certificate above. Its work is the n^2 cells of G_s, capped by
-MAX_CONGRUENCE_CELLS; det_poly stays as an independent cross-check in the
-tests.
+with the certificate above, for every r, against block_spectrum(k, s, r); a
+G_s passed in must have the rows of shape (k, s). Its work is the n^2 cells
+of G_s, capped by MAX_CONGRUENCE_CELLS; det_poly stays as an independent
+cross-check in the tests.
 
 Both verify_* functions produce machine-readable reports; failures are
 reported with witnesses, never raised.
@@ -454,7 +455,7 @@ def _congruence_failure(g: gram_partition.GramMatrix) -> dict | None:
     return None
 
 
-def _unitriangular_failure(g: gram_partition.GramMatrix, n: int) -> dict | None:
+def _unitriangular_failure(g: gram_partition.GramMatrix, k: int, s: int, n: int) -> dict | None:
     """Check that Z is upper unitriangular in the row order of G_s.
 
     Z[(t,T),(p,P)] = 1 exactly when t is a coarsening of p on which the
@@ -465,9 +466,9 @@ def _unitriangular_failure(g: gram_partition.GramMatrix, n: int) -> dict | None:
     block counts never decrease: then every row of Z is a row of G_s, and a
     coarsening other than the identity sits above the diagonal. Any other
     order fails here, even one in which Z happens to be triangular.
-    Returns the first failure entry, or None.
+    (k, s) is the shape being certified, so G_s of another shape fails
+    here. Returns the first failure entry, or None.
     """
-    k, s = g.k, g.s
     distinct = {(d.partition.block_assignment, d.through_blocks.elements) for d in g.diagrams}
     if len(distinct) != n or any(d.k != k or d.s != s for d in g.diagrams):
         detail = f"the {len(g.diagrams)} rows are not the {n} half diagrams of shape ({k}, {s})"
@@ -486,7 +487,6 @@ def verify_gram_det(
     max_size: int = gram_partition.DEFAULT_MAX_SIZE,
     *,
     gram: gram_partition.GramMatrix | None = None,
-    blocks: Sequence[gram_partition.BlockSpectrum] | None = None,
 ) -> VerifyReport:
     """Certify det G_s = prod_{r,l} E_{r,l}^{mult} symbolically, sign +1
     included, through the congruence G_s = Z^T D Z.
@@ -503,17 +503,17 @@ def verify_gram_det(
        sum_v P_l(v) X_v is formed from the certified rows; each E_l and its
        total multiplicity must equal block_spectrum's.
 
-    gram and blocks, when given, are build_gram(k, s) and block_spectra(k,
-    s). The report carries epsilon = 1 and det on a pass (None on a
-    failure), method "congruence", the side of G_s and z_nnz = nnz(Z); each
-    failed check gives one failure entry naming its step.
+    Every check is against (k, s): the rows of gram, when given, must be
+    the half diagrams of shape (k, s), or check 3 fails, and every r of
+    0..k-s is checked in 4. The report carries epsilon = 1 and det on a
+    pass (None on a failure), method "congruence", the side of G_s and
+    z_nnz = nnz(Z); each failed check gives one failure entry naming its
+    step.
     """
     n = gram_det_side(k, s, max_size)
     g = gram_partition.build_gram(k, s, max_size=max_size) if gram is None else gram
-    if blocks is None:
-        blocks = gram_partition.block_spectra(k, s)
     failures = []
-    for failed in (_congruence_failure(g), _unitriangular_failure(g, n)):
+    for failed in (_congruence_failure(g), _unitriangular_failure(g, k, s, n)):
         if failed is not None:
             failures.append(failed)
     # nnz(Z): a column (p, P), p with b blocks, has one entry per coarsening
@@ -525,8 +525,7 @@ def verify_gram_det(
         for b in range(s, k + 1)
     )
     det = ONE
-    for spec_r in blocks:
-        r = spec_r.r
+    for r in range(k - s + 1):
         copies = stirling2(k, s + r)
         if not copies:
             # s + r = 0: no partition of k >= 1 points has 0 blocks
@@ -545,6 +544,7 @@ def verify_gram_det(
             for c, x_v in zip(f.coeffs, xs):
                 e_l = e_l + x_v.scale(c)
             certified.append((f.l, e_l, copies * f.multiplicity))
+        spec_r = gram_partition.block_spectrum(k, s, r)
         if list(spec_r.eigenpolys) != certified:
             got = [[l, e.to_json(), m] for l, e, m in spec_r.eigenpolys]
             want = [[l, e.to_json(), m] for l, e, m in certified]

@@ -31,7 +31,9 @@ from typing import Sequence, TypeVar
 from .combinat import binomial, k_subsets
 from .errors import SizeCapExceeded
 
-DEFAULT_MAX_SIZE = 200_000
+# a side of 4000 is 16 M cells; memory grows as the side squared (side 3432
+# peaks at about 106 MB), and the largest side built in practice is 3003
+DEFAULT_MAX_SIZE = 4000
 
 T = TypeVar("T")
 

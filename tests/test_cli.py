@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import diagram_spectra
-from diagram_spectra import gram_partition, oracle, spectrum
+from diagram_spectra import gram_partition, gram_signed_z2, oracle, sdm, spectrum
 from diagram_spectra.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -215,6 +215,19 @@ def test_sdm_cap_exit(capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
+def test_sdm_build_memory_cap_exits_before_building(monkeypatch, capsys):
+    # side 48 620, about 2.4 G cells: refused on the side, before any
+    # through set is enumerated
+    def refuse(*args, **kwargs):
+        raise AssertionError("A^{18,9} must not be built past the cap")
+
+    monkeypatch.setattr(sdm, "k_subsets", refuse)
+    assert sdm_main(["build", "--s", "9", "--r", "9"]) == EXIT_CAP
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: A^{{18,9}}: size 48620 exceeds cap {sdm.DEFAULT_MAX_SIZE}\n"
+
+
 def test_sdm_eig_work_cap_exit(capsys):
     # about 4M Eberlein coefficients: refused before any is computed
     assert sdm_main(["eig", "--s", "2000", "--r", "2000"]) == EXIT_CAP
@@ -297,7 +310,7 @@ def test_gram_partition_det_k7_exits_before_building(monkeypatch, capsys, s):
     assert err.startswith("error: ") and "exceeds cap" in err
 
 
-def test_gram_partition_shares_one_gram_and_one_block_list(monkeypatch, capsys):
+def test_gram_partition_builds_one_gram(monkeypatch, capsys):
     calls = {"build_gram": 0, "block_spectrum": 0}
     for name in calls:
 
@@ -308,8 +321,9 @@ def test_gram_partition_shares_one_gram_and_one_block_list(monkeypatch, capsys):
         monkeypatch.setattr(gram_partition, name, counted)
     argv = ["partition", "--k", "3", "--s", "1", "--matrix", "--det", "--roots"]
     assert gram_main(argv) == EXIT_OK
-    # one G_s, and block_spectrum once for each of r = 0, 1, 2
-    assert calls == {"build_gram": 1, "block_spectrum": 3}
+    # one G_s; block_spectrum for each of r = 0, 1, 2 once to render and
+    # once in the certificate, which takes no block list from the caller
+    assert calls == {"build_gram": 1, "block_spectrum": 6}
     assert json.loads(capsys.readouterr().out)["det_sign"] == 1
 
 
@@ -377,6 +391,31 @@ def test_gram_signed_empty_blocks(capsys):
     assert code == EXIT_OK
     data = json.loads(capsys.readouterr().out)
     assert data["blocks"] == []
+
+
+@pytest.mark.parametrize("mode", ["z2", "signed"])
+@pytest.mark.parametrize("k", ["50", str(10**12)])
+def test_gram_z2_signed_work_cap_exits_before_any_polynomial(monkeypatch, capsys, mode, k):
+    # (50, 10, 10) would emit about 4.3 M coefficients (241 MB of JSON); the
+    # count is closed-form, so a huge k is refused just as fast
+    def refuse(*args, **kwargs):
+        raise AssertionError("no block may be formed past the cap")
+
+    monkeypatch.setattr(gram_signed_z2, "block_spectrum_tensor", refuse)
+    assert gram_main([mode, "--k", k, "--s1", "10", "--s2", "10"]) == EXIT_CAP
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: gram {mode} report coefficients: size ")
+    assert err.endswith(f" exceeds cap {gram_signed_z2.MAX_REPORT_COEFFS}\n")
+
+
+def test_gram_partition_shape_error_is_the_library_one(capsys):
+    # the one shape check, gram_partition._check_shape, words the CLI error
+    with pytest.raises(ValueError) as exc:
+        gram_partition.build_gram(0, 0)
+    assert gram_main(["partition", "--k", "0", "--s", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert str(exc.value) == "need k >= 1 and 0 <= s <= k, got k=0, s=0"
 
 
 def test_gram_csv_signed(capsys):

@@ -3,6 +3,8 @@ import pytest
 from diagram_spectra.gram_partition import block_spectrum, x_substitution_poly
 from diagram_spectra.gram_signed_z2 import (
     SignedBlockKey,
+    _block_ranges,
+    _report_coeffs,
     block_spectrum_tensor,
     build_exceptional_block,
     exceptional_diag_poly,
@@ -93,6 +95,30 @@ def test_z2_family_matches_partition_blocks():
             fam = _z2_family(s, r)
             blk = block_spectrum(k, s, r).eigenpolys
             assert [(l, p) for l, p in fam] == [(l, p) for l, p, _ in blk]
+
+
+def test_validate_and_report_share_one_range_rule():
+    with pytest.raises(ValueError) as key_exc:
+        SignedBlockKey(k=2, s1=-1, s2=0, r1=0, r2=0).validate("signed")
+    with pytest.raises(ValueError) as report_exc:
+        to_json_dict(2, -1, 0, "signed")
+    assert str(key_exc.value) == str(report_exc.value) == "invalid parameters k=2, s1=-1, s2=0"
+    with pytest.raises(ValueError) as key_exc:
+        SignedBlockKey(k=2, s1=0, s2=0, r1=0, r2=0).validate("plain")
+    with pytest.raises(ValueError) as report_exc:
+        to_json_dict(2, 0, 0, "plain")
+    assert str(key_exc.value) == str(report_exc.value)
+
+
+@pytest.mark.parametrize("mode", ["z2", "signed"])
+def test_report_coeffs_counts_the_emitted_coefficients(mode):
+    for k in range(9):
+        for s1 in range(k + 1):
+            for s2 in range(k + 1 - s1):
+                data = to_json_dict(k, s1, s2, mode)
+                emitted = sum(len(e["poly"]) for b in data["blocks"] for e in b["eigen"])
+                cap, r2_cap = _block_ranges(k, s1, s2, mode)
+                assert _report_coeffs(s1, s2, cap, r2_cap) == emitted
 
 
 def test_validate_ranges():

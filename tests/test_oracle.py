@@ -647,12 +647,43 @@ def test_verify_gram_det_rejects_short_basis(monkeypatch):
     assert "not the 10 half diagrams" in report.failures[-1]["detail"]
 
 
-def test_verify_gram_det_rejects_wrong_block_spectrum():
-    blocks = gram_partition.block_spectra(3, 1)
-    l, e_l, m = blocks[1].eigenpolys[0]
-    blocks[1] = replace(blocks[1], eigenpolys=((l, e_l, m + 1),) + blocks[1].eigenpolys[1:])
-    report = verify_gram_det(3, 1, blocks=blocks)
+def test_verify_gram_det_rejects_wrong_block_spectrum(monkeypatch):
+    real = gram_partition.block_spectrum
+
+    def wrong_multiplicity(k, s, r):
+        spec = real(k, s, r)
+        if r != 1:
+            return spec
+        l, e_l, m = spec.eigenpolys[0]
+        return replace(spec, eigenpolys=((l, e_l, m + 1),) + spec.eigenpolys[1:])
+
+    monkeypatch.setattr(gram_partition, "block_spectrum", wrong_multiplicity)
+    report = verify_gram_det(3, 1)
     assert [(f["step"], f["r"]) for f in report.failures] == [("block spectrum", 1)]
+
+
+def test_verify_gram_det_certifies_every_block_itself(monkeypatch):
+    # a block list that leaves out r = k - s does not shorten the product:
+    # the certificate loops over r itself
+    real = gram_partition.block_spectra
+    monkeypatch.setattr(gram_partition, "block_spectra", lambda k, s: real(k, s)[:-1])
+    report = verify_gram_det(3, 1)
+    assert report.passed
+    det = Polynomial.of(map(int, report.extra["det"]))
+    assert det == det_poly(build_gram(3, 1).entries)
+    assert det.degree() == 12
+
+
+@pytest.mark.parametrize("k, s, other", [(3, 1, (4, 3)), (1, 0, (1, 1))])
+def test_verify_gram_det_rejects_gram_of_another_shape(k, s, other):
+    # G_3 on 4 points has the side 10 of G_1 on 3 points, and G_1 on 1 point
+    # the side 1 of G_0 on 1 point: each is a true Gram matrix, of the wrong shape
+    g = build_gram(*other)
+    assert g.n == oracle.gram_det_side(k, s)
+    report = verify_gram_det(k, s, gram=g)
+    assert not report.passed
+    assert [f["step"] for f in report.failures] == ["unitriangular"]
+    assert report.extra["det"] is None
 
 
 def test_verify_gram_det_rejects_uncertified_block(monkeypatch):
