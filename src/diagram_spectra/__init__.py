@@ -36,7 +36,7 @@ from .gram_signed_z2 import (
     x_z2_poly,
 )
 from .oracle import VerifyReport, charpoly, det_poly, verify_gram_det, verify_sdm_spectrum
-from .poly import Polynomial, factor_product, integer_roots
+from .poly import Polynomial, factor_product
 from .sdm import EntryMatrix, build, substitute
 from .spectrum import (
     EigenvalueForm,
@@ -74,7 +74,6 @@ __all__ = [
     "eberlein_coefficient",
     "enumerate_half_diagrams",
     "factor_product",
-    "integer_roots",
     "k_subsets",
     "multiplicities",
     "product_form",

@@ -187,15 +187,12 @@ def sdm_main(argv: Sequence[str] | None = None) -> int:
 
 def _gram_partition(args: argparse.Namespace) -> Result:
     k, s = args.k, args.s
-    if args.det:
-        # refuse the certificate's work before G_s is built
-        oracle.gram_det_side(k, s, args.max_size)
-    gram = gram_partition.build_gram(k, s, args.max_size) if args.matrix or args.det else None
-    blocks = gram_partition.block_spectra(k, s)
-
-    det_report = oracle.verify_gram_det(k, s, args.max_size, gram=gram) if args.det else None
+    # the certificate builds no G_s; --max-size bounds only the G_s of --matrix
+    det_report = oracle.verify_gram_det(k, s) if args.det else None
     det_sign = det_report.extra["epsilon"] if det_report is not None else None
-    singular = gram_partition.semisimple_exceptions(k, s, blocks=blocks) if args.roots else None
+    gram = gram_partition.build_gram(k, s, args.max_size) if args.matrix else None
+    blocks = gram_partition.block_spectra(k, s)
+    singular = gram_partition.semisimple_exceptions(k, s) if args.roots else None
 
     data = gram_partition.to_json_dict(
         k,

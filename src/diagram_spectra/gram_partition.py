@@ -12,9 +12,8 @@ sides, the entry is x^(c-s): every other join block collapses to a loop worth
 a factor of x. Otherwise the propagating number of the product has dropped
 and the entry is 0. The entry depends on the two partitions only through
 their join, so join_masks forms one join per pair of partitions and turns
-each row's through choice into the set of join blocks it lands on. That
-pass is the only one over pairs of partitions: build_gram reads G_s off
-it, and oracle's congruence check reads Z^T D Z off it.
+each row's through choice into the set of join blocks it lands on; build_gram,
+its one consumer, reads G_s off it.
 
 Paired row and column operations reduce G_s to a block-diagonal matrix with
 stirling2(k,s+r) identical blocks for each r, and each block is a symmetric
@@ -38,8 +37,10 @@ Hence det Z = 1 and
     det G_s = det D = prod_{r,l} E_{r,l}^{stirling2(k,s+r)*m_l(s,r)},
 
 with sign +1, proved rather than measured: oracle.verify_gram_det checks the
-congruence entry by entry. For s = 0 this is Lindstrom's determinant of the
-join matrix of the partition lattice, prod_m (x)_m^{stirling2(k,m)}.
+congruence one join type at a time, since a cell of either side depends only
+on the size of the join and the overlap of the two through choices, and
+never builds G_s. For s = 0 this is Lindstrom's determinant of the join
+matrix of the partition lattice, prod_m (x)_m^{stirling2(k,m)}.
 
 product_form is the factored shape of E_{r,l}:
 
@@ -60,7 +61,7 @@ from typing import Iterator, Sequence
 
 from .combinat import SetPartition, Subset, binomial, k_subsets, set_partitions, stirling2
 from .errors import SizeCapExceeded
-from .poly import X, ZERO, Polynomial, factor_product, integer_roots
+from .poly import X, ZERO, Polynomial, factor_product
 from .spectrum import substituted_spectrum
 
 DEFAULT_MAX_SIZE = 3000
@@ -77,10 +78,6 @@ class HalfDiagram:
             raise ValueError(
                 f"through block index {self.through_blocks.elements[-1]} exceeds {nb} blocks"
             )
-
-    @property
-    def k(self) -> int:
-        return self.partition.n
 
     @property
     def s(self) -> int:
@@ -136,9 +133,10 @@ class GramMatrix:
         return len(self.diagrams)
 
 
-def gram_side(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> int:
+def gram_side(k: int, s: int, max_size: float = DEFAULT_MAX_SIZE) -> int:
     """Side of G_s on k points, sum_r stirling2(k,s+r) * C(s+r,s), computed
-    without enumerating; raises SizeCapExceeded past max_size."""
+    without enumerating; raises SizeCapExceeded past max_size (math.inf
+    for none)."""
     _check_shape(k, s)
     n = sum(stirling2(k, s + r) * binomial(s + r, s) for r in range(0, k - s + 1))
     if n > max_size:
@@ -236,29 +234,29 @@ def block_spectra(k: int, s: int) -> list[BlockSpectrum]:
     return [block_spectrum(k, s, r) for r in range(0, k - s + 1)]
 
 
+def product_form_roots(s: int, r: int, l: int) -> list[int]:
+    """The roots of the linear factors of product_form(s, r, l), with
+    repeats."""
+    return [s - 1 + i for i in range(l)] + [2 * s + j for j in range(r - l)]
+
+
 def product_form(s: int, r: int, l: int) -> Polynomial:
     """Factored form of the block eigenpolynomial E_{r,l} (degree r)."""
     if not (0 <= l <= min(s, r)):
         raise ValueError(f"l={l} out of range 0..{min(s, r)}")
-    left = factor_product(Polynomial.x_minus(s - 1 + i) for i in range(l))
-    right = factor_product(Polynomial.x_minus(2 * s + j) for j in range(r - l))
-    return left * right
+    return factor_product(Polynomial.x_minus(a) for a in product_form_roots(s, r, l))
 
 
-def semisimple_exceptions(
-    k: int, s: int, *, blocks: Sequence[BlockSpectrum] | None = None
-) -> set[int]:
-    """Integer x at which det G_s vanishes: union of integer roots over all
-    block eigenpolynomials. blocks, when given, is block_spectra(k, s)."""
+def semisimple_exceptions(k: int, s: int) -> set[int]:
+    """Integer x at which det G_s vanishes: the roots of the linear factors
+    of every E_{r,l} == product_form(s, r, l), as oracle.verify_gram_det
+    certifies. Each occurs in the det: its multiplicity stirling2(k,s+r) *
+    (C(s+r,l) - C(s+r,l-1)) is positive for l <= min(s,r) and s+r >= 1."""
     _check_shape(k, s)
     roots: set[int] = set()
-    for spec_r in block_spectra(k, s) if blocks is None else blocks:
-        for _, e_l, mult in spec_r.eigenpolys:
-            if mult == 0:
-                continue
-            if e_l.degree() == 0:
-                continue
-            roots |= integer_roots(e_l)
+    for r in range(k - s + 1):
+        for l in range(min(s, r) + 1):
+            roots.update(product_form_roots(s, r, l))
     return roots
 
 

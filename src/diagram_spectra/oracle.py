@@ -32,18 +32,21 @@ the certificate fails, on `trials` random substitutions seeded by `seed`,
 to find witnesses.
 
 verify_gram_det certifies det G_s = prod_{r,l} E_{r,l}^{mult}, sign +1
-included, without evaluating a determinant. It checks the paper's reduction
-as a congruence G_s = Z^T D Z entry by entry, on the same pass over pairs
-of partitions that builds G_s (gram_partition.join_masks); an entry of
-Z^T D Z sums over the coarsenings of a join that keep two through choices
-apart, enumerated by combinat.restricted_growth. Z is unitriangular in the
-row order of G_s, so det G_s = det D, because every coarsening of a
-partition other than itself has fewer blocks and the block counts of the
-rows never decrease. Each block of D, a substituted A^{s+r,s}, is certified
-with the certificate above, for every r, against block_spectrum(k, s, r); a
-G_s passed in must have the rows of shape (k, s). Its work is the n^2 cells
-of G_s, capped by MAX_CONGRUENCE_CELLS; det_poly stays as an independent
-cross-check in the tests.
+included, from (k, s) alone: it builds no G_s, visits no pair of
+partitions and evaluates no determinant. It checks the paper's reduction as
+a congruence G_s = Z^T D Z one join type at a time: a cell of either side
+depends only on the number c of blocks of the join of its two partitions
+and the overlap o of its two through choices, and a cell of Z^T D Z sums
+over the coarsenings of the join that keep the two through choices apart,
+enumerated by combinat.restricted_growth. For s = 0 each identity is
+Stirling's sum_b S(c,b) (x)_b = x^c, behind Lindstrom's determinant. Z is
+unitriangular in block-count order, as a theorem, so det G_s = det D. Each
+block of D, a substituted A^{s+r,s}, is certified with the certificate
+above, for every r, against block_spectrum(k, s, r), and each certified
+E_{r,l} must equal product_form(s, r, l), so the det is expanded from the
+powers of its linear factors. Its work is capped by the degree of the det,
+MAX_DET_DEGREE, since that expansion dominates; det_poly stays as an
+independent cross-check in the tests.
 
 Both verify_* functions produce machine-readable reports; failures are
 reported with witnesses, never raised.
@@ -51,7 +54,6 @@ reported with witnesses, never raised.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from collections import Counter
@@ -62,7 +64,7 @@ from typing import Sequence
 from . import gram_partition, sdm, spectrum
 from .combinat import binomial, restricted_growth, stirling2
 from .errors import SizeCapExceeded
-from .poly import ONE, ZERO, Polynomial
+from .poly import ONE, X, ZERO, Polynomial, factor_product
 
 DEFAULT_CHARPOLY_CAP = 300
 DEFAULT_DET_CAP = 120
@@ -392,130 +394,100 @@ def verify_sdm_spectrum(
     )
 
 
-# every (k <= 6, s) fits: the largest, (6, 2), has side 856, and (7, 0),
-# side 877, is the smallest k = 7 shape that does not
-MAX_CONGRUENCE_CELLS = 750_000
+# the det's degree, sum_r r * stirling2(k,s+r) * C(s+r,s), counts the
+# dominant work, expanding the det; every (k <= 6, s) fits, the largest
+# being (6, 1) at degree 1712, and so does (7, 4) at 1435, while (7, 0..3),
+# at 3263 and up, do not
+MAX_DET_DEGREE = 2000
 
 
-def gram_det_side(k: int, s: int, max_size: int = gram_partition.DEFAULT_MAX_SIZE) -> int:
-    """Side n of G_s on k points, computed without enumerating. Raises
-    SizeCapExceeded when n passes max_size or when the n^2 cells that
-    verify_gram_det compares pass MAX_CONGRUENCE_CELLS."""
-    n = gram_partition.gram_side(k, s, max_size)
-    if n * n > MAX_CONGRUENCE_CELLS:
-        raise SizeCapExceeded(
-            f"congruence cells of G_{s} on {k} points", n * n, MAX_CONGRUENCE_CELLS
-        )
-    return n
+def congruence_entry(s: int, c: int, o: int) -> Polynomial:
+    """(Z^T D Z)[(p,P),(q,Q)] when the join p v q has c blocks and the
+    through blocks P and Q land on s distinct join blocks each, o of them in
+    common.
 
-
-def _congruence_failure(g: gram_partition.GramMatrix) -> dict | None:
-    """The first entry where G_s and Z^T D Z differ, as a failure entry, or
-    None when they agree everywhere.
-
-    (Z^T D Z)[(p,P),(q,Q)] sums D_t[T_P, T_Q] over the partitions t that are
-    p or coarser and q or coarser, i.e. the coarsenings of the join p v q,
-    on which P and Q each land on s distinct blocks. It is 0 when P or Q
-    already shares a join block. Otherwise, in terms of the c join blocks, P
-    and Q meet s distinct ones each, o of them in common; a permutation of
-    the join blocks carries the coarsenings of one such configuration onto
-    those of another with the same c and o, keeping block counts and
-    overlaps, so the sum depends on (c, o) only and is computed once for
-    each (c, o), at a canonical configuration.
+    The entry sums D_t[T_P, T_Q] over the partitions t that are p or coarser
+    and q or coarser, i.e. the coarsenings of the join, on which P and Q each
+    land on s distinct blocks. A permutation of the join blocks carries the
+    coarsenings of one such configuration onto those of another with the
+    same c and o, keeping block counts and overlaps, so the sum is taken at
+    a canonical configuration.
     """
-    s, rows = g.s, g.entries
     xsub = gram_partition.x_substitution_poly
-
-    @functools.cache
-    def congruence_entry(c: int, o: int) -> Polynomial:
-        # flag bit 1 marks a join block that P meets, bit 2 one that Q meets
-        flags = [3] * o + [1] * (s - o) + [2] * (s - o) + [0] * (c - 2 * s + o)
-        terms = Counter((len(u), u.count(3)) for _, u in restricted_growth(flags))
-        acc = ZERO
-        for (blocks, shared), count in terms.items():
-            acc = acc + xsub(s, blocks - s, s - shared).scale(count)
-        return acc
-
-    for c, masks_p, masks_q in gram_partition.join_masks(g.diagrams):
-        for i, mask in masks_p:
-            for j, other in masks_q:
-                if mask.bit_count() == s == other.bit_count():
-                    want = congruence_entry(c, (mask & other).bit_count())
-                else:
-                    want = ZERO
-                for row, col in ((i, j), (j, i)):
-                    if rows[row][col] != want:
-                        return {
-                            "step": "congruence",
-                            "row": row,
-                            "column": col,
-                            "expected": want.to_json(),
-                            "got": rows[row][col].to_json(),
-                        }
-    return None
+    # flag bit 1 marks a join block that P meets, bit 2 one that Q meets
+    flags = [3] * o + [1] * (s - o) + [2] * (s - o) + [0] * (c - 2 * s + o)
+    terms = Counter((len(u), u.count(3)) for _, u in restricted_growth(flags))
+    acc = ZERO
+    for (blocks, shared), count in terms.items():
+        acc = acc + xsub(s, blocks - s, s - shared).scale(count)
+    return acc
 
 
-def _unitriangular_failure(g: gram_partition.GramMatrix, k: int, s: int, n: int) -> dict | None:
-    """Check that Z is upper unitriangular in the row order of G_s.
+def _congruence_failure(k: int, s: int) -> dict | None:
+    """The first join type (c, o) at which a cell of G_s and the same cell
+    of Z^T D Z differ, as a failure entry, or None when every join type
+    agrees.
 
-    Z[(t,T),(p,P)] = 1 exactly when t is a coarsening of p on which the
-    through blocks P land on s distinct blocks, T. The identity coarsening
-    gives the entry at ((p,P),(p,P)), and any other coarsening of p has
-    fewer blocks than p. So Z is upper unitriangular when the rows are the
-    n = gram_side(k, s) half diagrams of shape (k, s), each once, and their
-    block counts never decrease: then every row of Z is a row of G_s, and a
-    coarsening other than the identity sits above the diagonal. Any other
-    order fails here, even one in which Z happens to be triangular.
-    (k, s) is the shape being certified, so G_s of another shape fails
-    here. Returns the first failure entry, or None.
+    This covers every cell (p,P),(q,Q) of G_s. Let c be the number of blocks
+    of the join p v q, s <= c <= k. When P and Q land on s distinct join
+    blocks each, o of them in common (so 2s - o <= c), the cell of G_s is
+    x^(c-s) when o = s and 0 otherwise, and that of Z^T D Z is
+    congruence_entry(s, c, o): both are functions of (c, o). When P or Q
+    lands on fewer than s join blocks, both are 0 by definition: the
+    product's propagating number drops, and no coarsening of the join keeps
+    those through blocks apart, so the sum is empty.
     """
-    distinct = {(d.partition.block_assignment, d.through_blocks.elements) for d in g.diagrams}
-    if len(distinct) != n or any(d.k != k or d.s != s for d in g.diagrams):
-        detail = f"the {len(g.diagrams)} rows are not the {n} half diagrams of shape ({k}, {s})"
-        return {"step": "unitriangular", "row": None, "column": None, "detail": detail}
-    counts = [d.partition.block_count for d in g.diagrams]
-    for j in range(1, n):
-        if counts[j] < counts[j - 1]:
-            detail = f"rows {j - 1}, {j}: block counts fall, so a coarsening may be not above it"
-            return {"step": "unitriangular", "row": j, "column": j - 1, "detail": detail}
+    for c in range(max(s, 1), k + 1):
+        for o in range(max(0, 2 * s - c), s + 1):
+            want = X.pow(c - s) if o == s else ZERO
+            got = congruence_entry(s, c, o)
+            if got != want:
+                return {
+                    "step": "congruence",
+                    "c": c,
+                    "o": o,
+                    "expected": want.to_json(),
+                    "got": got.to_json(),
+                }
     return None
 
 
-def verify_gram_det(
-    k: int,
-    s: int,
-    max_size: int = gram_partition.DEFAULT_MAX_SIZE,
-    *,
-    gram: gram_partition.GramMatrix | None = None,
-) -> VerifyReport:
+def verify_gram_det(k: int, s: int) -> VerifyReport:
     """Certify det G_s = prod_{r,l} E_{r,l}^{mult} symbolically, sign +1
-    included, through the congruence G_s = Z^T D Z.
+    included, through the congruence G_s = Z^T D Z, from (k, s) alone: no
+    G_s is built and no pair of partitions is visited.
 
-    Four checks, none of which evaluates a determinant:
-    1. build G_s (build_gram, capped by max_size and gram_det_side);
-    2. congruence: every entry of G_s equals that of Z^T D Z;
-    3. unitriangular: the rows are the half diagrams of shape (k, s), each
-       once, with block counts that never decrease, so Z is unitriangular,
-       det Z = 1 and det G_s = det D = prod_t det D_t;
-    4. for each r, the Bose-Mesner certificate of A^{s+r,s}
+    Raises SizeCapExceeded when the degree of the det passes
+    MAX_DET_DEGREE, before any other work. Then three checks, none of which
+    evaluates a determinant:
+    1. congruence: for every join type (c, o), a cell of G_s equals the
+       same cell of Z^T D Z (_congruence_failure);
+    2. for each r, the Bose-Mesner certificate of A^{s+r,s}
        (_certificate_failure) proves det D_t = prod_l E_l^{m_l} for each of
        the stirling2(k,s+r) partitions t with s+r blocks, where E_l =
        sum_v P_l(v) X_v is formed from the certified rows; each E_l and its
-       total multiplicity must equal block_spectrum's.
+       total multiplicity must equal block_spectrum's;
+    3. product form: each certified E_{r,l} equals product_form(s, r, l), so
+       det G_s is a product of linear factors.
 
-    Every check is against (k, s): the rows of gram, when given, must be
-    the half diagrams of shape (k, s), or check 3 fails, and every r of
-    0..k-s is checked in 4. The report carries epsilon = 1 and det on a
-    pass (None on a failure), method "congruence", the side of G_s and
-    z_nnz = nnz(Z); each failed check gives one failure entry naming its
-    step.
+    Z is unitriangular in any row order by ascending block count, as a
+    theorem: Z[(t,T),(p,P)] = 1 only when t is p or coarser, the identity
+    coarsening gives the diagonal, and every other coarsening of p has fewer
+    blocks than p. So det Z = 1 and det G_s = det D = prod_t det D_t.
+
+    The report carries epsilon = 1 and det on a pass (None on a failure),
+    method "congruence", the side of G_s and z_nnz = nnz(Z); each failed
+    check gives one failure entry naming its step.
     """
-    n = gram_det_side(k, s, max_size)
-    g = gram_partition.build_gram(k, s, max_size=max_size) if gram is None else gram
+    side = gram_partition.gram_side(k, s, math.inf)  # checks the shape first
+    copies = [stirling2(k, s + r) for r in range(k - s + 1)]
+    degree = sum(r * count * binomial(s + r, s) for r, count in enumerate(copies))
+    if degree > MAX_DET_DEGREE:
+        raise SizeCapExceeded(f"degree of det G_{s} on {k} points", degree, MAX_DET_DEGREE)
     failures = []
-    for failed in (_congruence_failure(g), _unitriangular_failure(g, k, s, n)):
-        if failed is not None:
-            failures.append(failed)
+    failed = _congruence_failure(k, s)
+    if failed is not None:
+        failures.append(failed)
     # nnz(Z): a column (p, P), p with b blocks, has one entry per coarsening
     # of p that keeps the s blocks of P apart, N(b, s) of them
     z_nnz = sum(
@@ -524,10 +496,9 @@ def verify_gram_det(
         * sum(1 for _ in restricted_growth([1] * s + [0] * (b - s)))
         for b in range(s, k + 1)
     )
-    det = ONE
-    for r in range(k - s + 1):
-        copies = stirling2(k, s + r)
-        if not copies:
+    exponents: Counter[int] = Counter()
+    for r, count in enumerate(copies):
+        if not count:
             # s + r = 0: no partition of k >= 1 points has 0 blocks
             continue
         matrix = sdm.build(s, r)
@@ -543,16 +514,36 @@ def verify_gram_det(
             e_l = ZERO
             for c, x_v in zip(f.coeffs, xs):
                 e_l = e_l + x_v.scale(c)
-            certified.append((f.l, e_l, copies * f.multiplicity))
+            certified.append((f.l, e_l, count * f.multiplicity))
         spec_r = gram_partition.block_spectrum(k, s, r)
         if list(spec_r.eigenpolys) != certified:
             got = [[l, e.to_json(), m] for l, e, m in spec_r.eigenpolys]
             want = [[l, e.to_json(), m] for l, e, m in certified]
             failures.append({"step": "block spectrum", "r": r, "expected": want, "got": got})
             continue
-        for _, e_l, mult in certified:
-            det = det * e_l.pow(mult)
+        for l, e_l, mult in certified:
+            factored = gram_partition.product_form(s, r, l)
+            if e_l != factored:
+                failures.append(
+                    {
+                        "step": "product form",
+                        "r": r,
+                        "l": l,
+                        "expected": factored.to_json(),
+                        "got": e_l.to_json(),
+                    }
+                )
+                break
+            for a in gram_partition.product_form_roots(s, r, l):
+                exponents[a] += mult
     passed = not failures
+    det = None
+    if passed:
+        # det G_s = prod_a (x - a)^{e_a}, e_a counting the certified linear
+        # factors x - a with their multiplicities; each power is expanded by
+        # the binomial theorem, in O(e_a) products of integers
+        powers = (Polynomial.x_minus_pow(a, e) for a, e in sorted(exponents.items()))
+        det = factor_product(powers).to_json()
     return VerifyReport(
         target="gram_det",
         params={"k": k, "s": s},
@@ -561,9 +552,9 @@ def verify_gram_det(
         failures=failures,
         extra={
             "epsilon": 1 if passed else None,
-            "det": det.to_json() if passed else None,
+            "det": det,
             "method": "congruence",
-            "side": g.n,
+            "side": side,
             "z_nnz": z_nnz,
         },
     )

@@ -14,8 +14,11 @@ to keep accidental arithmetic on it from looking like a valid degree.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .errors import SizeCapExceeded
 
 NEG_INF = float("-inf")
 
@@ -43,6 +46,16 @@ class Polynomial:
     def x_minus(a: int) -> "Polynomial":
         """The linear factor x - a."""
         return Polynomial.of([-a, 1])
+
+    @staticmethod
+    def x_minus_pow(a: int, e: int) -> "Polynomial":
+        """(x - a)^e by the binomial theorem: the coefficient C(e,j) (-a)^(e-j)
+        of x^j follows from that of x^(j+1), with no polynomial product."""
+        coeffs = [0] * e + [1]
+        for j in range(e, 0, -1):
+            # exact: (e-j+1) divides C(e,j) j, and C(e,j) j / (e-j+1) = C(e,j-1)
+            coeffs[j - 1] = coeffs[j] * -a * j // (e - j + 1)
+        return Polynomial.of(coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -104,8 +117,19 @@ class Polynomial:
         return format_terms((c, {0: "", 1: "x"}.get(d, f"x^{d}")) for d, c in terms)
 
     def to_json(self) -> list[str]:
-        """Decimal strings ascending by degree, safe for any JSON reader."""
-        return [str(c) for c in self.coeffs]
+        """Decimal strings ascending by degree, safe for any JSON reader.
+        Raises SizeCapExceeded when a coefficient has more decimal digits
+        than the interpreter converts, sys.get_int_max_str_digits()."""
+        try:
+            return [str(c) for c in self.coeffs]
+        except ValueError:
+            top = max(map(abs, self.coeffs))
+            # 1233 / 4096 < log10(2), so this starts at or below the digit count
+            digits = top.bit_length() * 1233 >> 12
+            while 10**digits <= top:
+                digits += 1
+            limit = sys.get_int_max_str_digits()
+            raise SizeCapExceeded("decimal digits of a coefficient", digits, limit) from None
 
 
 def format_terms(terms: Iterable[tuple[int, str]]) -> str:
@@ -135,38 +159,3 @@ def factor_product(factors: Iterable[Polynomial]) -> Polynomial:
         result = result * f
     return result
 
-
-def integer_roots(p: Polynomial) -> set[int]:
-    """All integer roots of a nonzero polynomial.
-
-    Strips powers of x, then tests the divisors of the trailing nonzero
-    coefficient (any integer root divides it), scanning no further than
-    Fujiwara's root bound.
-    """
-    if p.is_zero():
-        raise ValueError("integer_roots: zero polynomial has every root")
-    coeffs = list(p.coeffs)
-    roots: set[int] = set()
-    low = 0
-    while coeffs[low] == 0:
-        low += 1
-    if low > 0:
-        roots.add(0)
-        coeffs = coeffs[low:]
-    if len(coeffs) == 1:
-        return roots
-    tail = abs(coeffs[0])
-    stripped = Polynomial.of(coeffs)
-    # Fujiwara: every root has |z| <= 2 max_i |c_{n-i} / c_n|^(1/i) < limit,
-    # as |c_n| >= 1. A root with |z| <= sqrt(tail) is met at d = |z|; one past
-    # sqrt(tail) needs limit > sqrt(tail), so its cofactor d is met as well
-    n = len(coeffs) - 1
-    limit = 2 << max(-(-abs(coeffs[n - i]).bit_length() // i) for i in range(1, n + 1))
-    d = 1
-    while d * d <= tail and d < limit:
-        if tail % d == 0:
-            for cand in (d, -d, tail // d, -(tail // d)):
-                if abs(cand) < limit and stripped.eval_at(cand) == 0:
-                    roots.add(cand)
-        d += 1
-    return roots

@@ -19,6 +19,7 @@ from diagram_spectra.cli import (
     sdm_main,
 )
 from diagram_spectra.oracle import VerifyReport
+from diagram_spectra.poly import Polynomial, factor_product
 
 
 @pytest.fixture(autouse=True)
@@ -291,15 +292,15 @@ def test_gram_partition_cap(capsys):
 
 
 def test_gram_partition_det_cap_exits_before_enumerating(capsys):
-    # side 3 535 027 against the side cap of 3000
+    # det degree 15 682 216 against the degree cap of 2000
     assert gram_main(["partition", "--k", "11", "--s", "1", "--det"]) == EXIT_CAP
     assert "exceeds cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
 def test_gram_partition_det_k7_exits_before_building(monkeypatch, capsys, s):
-    # sides 877..4802: past the side cap of 3000 or past the congruence work
-    # cap on n^2 cells, checked before G_s is built
+    # det degrees 3263..10 668: past the degree cap, checked before G_s or
+    # any block is built
     def refuse(*args, **kwargs):
         raise AssertionError("G_s must not be built past a cap")
 
@@ -308,6 +309,24 @@ def test_gram_partition_det_k7_exits_before_building(monkeypatch, capsys, s):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "exceeds cap" in err
+
+
+def test_gram_partition_det_k7_s4_certifies_without_building(monkeypatch, capsys):
+    # side 1400, det degree 1435: certified from (k, s), with no G_s built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate must not build G_s")
+
+    monkeypatch.setattr(gram_partition, "build_gram", refuse)
+    assert gram_main(["partition", "--k", "7", "--s", "4", "--det"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    det = Polynomial.of(map(int, data["det"]))
+    assert det.degree() == 1435
+    expected = factor_product(
+        gram_partition.product_form(4, b["r"], e["l"]).pow(e["multiplicity"])
+        for b in data["blocks"]
+        for e in b["eigen"]
+    )
+    assert det == expected
 
 
 def test_gram_partition_builds_one_gram(monkeypatch, capsys):
@@ -325,6 +344,11 @@ def test_gram_partition_builds_one_gram(monkeypatch, capsys):
     # once in the certificate, which takes no block list from the caller
     assert calls == {"build_gram": 1, "block_spectrum": 6}
     assert json.loads(capsys.readouterr().out)["det_sign"] == 1
+    # --det without --matrix builds none
+    calls.update(build_gram=0, block_spectrum=0)
+    assert gram_main(["partition", "--k", "3", "--s", "1", "--det", "--roots"]) == EXIT_OK
+    assert calls == {"build_gram": 0, "block_spectrum": 6}
+    capsys.readouterr()
 
 
 def _gram_in_subprocess(argv):
@@ -361,8 +385,8 @@ def test_gram_partition_one_partition_many_points_no_traceback(flag):
 
 
 def test_gram_partition_roots_many_points_no_traceback():
-    # trailing coefficients reach 111 bits, so a divisor scan up to their
-    # square root would not end; the scan stops at a root bound instead
+    # read off the linear factors of the E_{r,l}, whose trailing
+    # coefficients reach 111 bits, with no search for roots
     data = _gram_in_subprocess(["partition", "--k", "30", "--s", "3", "--roots"])
     assert data["singular_x"] == [2, 3, 4] + list(range(6, 33))
 

@@ -5,8 +5,8 @@ Every invocation of `corpus()` runs in-process through `sdm_main` or
 stderr must equal the line recorded in cli_golden.txt. The corpus covers the
 six subcommands in all three output formats at small parameters
 (s, r <= 4; k <= 4; --det only at k <= 3), the format environment variable,
-usage errors (exit 1) and size-cap errors (exit 2). Digests are cut to 128
-bits to keep the file small.
+usage errors (exit 1) and size-cap errors (exit 2), the det degree cap at
+k = 7 among them. Digests are cut to 128 bits to keep the file small.
 
 Regenerate the file only for an intended output change, and review its diff:
 
@@ -105,6 +105,7 @@ def corpus() -> list[list[str]]:
         ["gram", "partition", "--k", "4", "--s", "1", "--matrix", "--max-size", "5"],
         ["gram", "partition", "--k", "3", "--s", "1", "--det", "--max-size", "5"],
         ["gram", "partition", "--k", "3", "--s", "0", "--matrix", "--det", "--max-size", "4"],
+        ["gram", "partition", "--k", "7", "--s", "0", "--det"],
     ):
         out += _with_formats(argv)
     return out

@@ -207,9 +207,8 @@ def test_semisimple_exceptions():
 
 @pytest.mark.parametrize("k", range(1, 31))
 def test_semisimple_exceptions_are_the_product_form_roots(k):
-    # the roots of E_{r,l} read off the linear factors product_form multiplies;
-    # every s up to k = 16, three s past it to keep the sweep short
-    for s in range(k + 1) if k <= 16 else (3, k // 2, k - 1):
+    # the roots of E_{r,l} read off the linear factors product_form multiplies
+    for s in range(k + 1):
         expected = set()
         for r in range(k - s + 1):
             for l in range(min(s, r) + 1):

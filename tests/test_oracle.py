@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -15,6 +16,7 @@ from diagram_spectra.oracle import (
     _MERSENNE_EXPONENTS,
     _certificate_failure,
     charpoly,
+    congruence_entry,
     det_by_minors,
     det_poly,
     verify_gram_det,
@@ -479,7 +481,13 @@ def no_det_poly(monkeypatch):
     monkeypatch.setattr(oracle, "charpoly", refuse)
 
 
-def test_verify_gram_det_pass_path_runs_no_det_poly(no_det_poly):
+def test_verify_gram_det_pass_path_runs_no_det_poly(no_det_poly, monkeypatch):
+    # nor does it build G_s or pass over pairs of partitions
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate must not build G_s")
+
+    monkeypatch.setattr(gram_partition, "build_gram", refuse)
+    monkeypatch.setattr(gram_partition, "join_masks", refuse)
     for k in range(1, 6):
         for s in range(k + 1):
             assert verify_gram_det(k, s).passed, (k, s)
@@ -531,6 +539,31 @@ def test_verify_gram_det_z_nnz_counts_z(k):
         assert verify_gram_det(k, s).extra["z_nnz"] == len(nonzero), (k, s)
 
 
+def _cell_failure(g):
+    """The first cell of g that differs from the same cell of Z^T D Z, read
+    on its join type from join_masks, as a JSON-ready dict, or None."""
+    entry = functools.cache(lambda c, o: congruence_entry(g.s, c, o))
+    for c, masks_p, masks_q in gram_partition.join_masks(g.diagrams):
+        for i, mask in masks_p:
+            for j, other in masks_q:
+                if mask.bit_count() == g.s == other.bit_count():
+                    want = entry(c, (mask & other).bit_count())
+                else:
+                    want = ZERO
+                for row, col in ((i, j), (j, i)):
+                    if g.entries[row][col] != want:
+                        got = g.entries[row][col].to_json()
+                        return {"row": row, "column": col, "expected": want.to_json(), "got": got}
+    return None
+
+
+@pytest.mark.parametrize("k, s", [(k, s) for k in range(1, 7) for s in range(k + 1)])
+def test_build_gram_cells_match_congruence(k, s):
+    # the built G_s, cell by cell, against Z^T D Z on each cell's join type:
+    # ties build_gram to the identities that verify_gram_det checks
+    assert _cell_failure(build_gram(k, s)) is None
+
+
 def _tampered_gram(k, s, i, j, value, mirror=True):
     g = build_gram(k, s)
     rows = [list(row) for row in g.entries]
@@ -540,23 +573,15 @@ def _tampered_gram(k, s, i, j, value, mirror=True):
     return replace(g, entries=tuple(map(tuple, rows)))
 
 
-def test_verify_gram_det_rejects_changed_entry(monkeypatch, capsys):
+def test_verify_gram_det_rejects_changed_entry():
     # one symmetric pair of G_1 on 3 points: x where the product is 0
     g = build_gram(3, 1)
     i, j = next((i, j) for i in range(g.n) for j in range(i) if g.entries[i][j] == ZERO)
     tampered = _tampered_gram(3, 1, i, j, X)
-    monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: tampered)
-    report = verify_gram_det(3, 1)
-    assert not report.passed
-    assert report.extra["epsilon"] is None and report.extra["det"] is None
-    assert report.failures == [
-        {"step": "congruence", "row": j, "column": i, "expected": [], "got": ["0", "1"]}
-    ]
-    assert gram_main(["partition", "--k", "3", "--s", "1", "--det"]) == EXIT_VERIFY
-    assert json.loads(capsys.readouterr().out)["det"] is None
+    assert _cell_failure(tampered) == {"row": j, "column": i, "expected": [], "got": ["0", "1"]}
 
 
-def test_verify_gram_det_rejects_one_sided_change(monkeypatch):
+def test_verify_gram_det_rejects_one_sided_change():
     # G_s changed below the diagonal only, between two partitions
     g = build_gram(3, 1)
     i, j = next(
@@ -566,15 +591,13 @@ def test_verify_gram_det_rejects_one_sided_change(monkeypatch):
         if g.entries[i][j] == ZERO and g.diagrams[i].partition != g.diagrams[j].partition
     )
     tampered = _tampered_gram(3, 1, i, j, X, mirror=False)
-    monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: tampered)
-    assert verify_gram_det(3, 1).failures == [
-        {"step": "congruence", "row": i, "column": j, "expected": [], "got": ["0", "1"]}
-    ]
+    assert _cell_failure(tampered) == {"row": i, "column": j, "expected": [], "got": ["0", "1"]}
 
 
-def test_verify_gram_det_rejects_perturbed_substitution(monkeypatch):
+def test_verify_gram_det_rejects_perturbed_substitution(monkeypatch, capsys):
     # X_0 of the r = 1 blocks of G_1 off by one: block_spectrum follows the
-    # change, so only the congruence with the independently built G_s sees it
+    # change, so the congruence with the closed form of G_s sees it, and so
+    # does the product form of the certified E_{1,l}
     real = gram_partition.x_substitution_poly
 
     def perturbed(s, r, t):
@@ -583,68 +606,24 @@ def test_verify_gram_det_rejects_perturbed_substitution(monkeypatch):
 
     monkeypatch.setattr(gram_partition, "x_substitution_poly", perturbed)
     report = verify_gram_det(3, 1)
-    assert [f["step"] for f in report.failures] == ["congruence"]
+    assert [f["step"] for f in report.failures] == ["congruence", "product form"]
+    assert report.extra["epsilon"] is None and report.extra["det"] is None
+    assert gram_main(["partition", "--k", "3", "--s", "1", "--det"]) == EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out)["det"] is None
 
 
-def test_verify_gram_det_rejects_reordered_rows(monkeypatch):
-    # the rows in reverse, entries permuted with them: the congruence still
-    # holds entry by entry, but Z is lower triangular in this order
-    g = build_gram(3, 1)
-    order = list(reversed(range(g.n)))
-    reordered = replace(
-        g,
-        diagrams=tuple(g.diagrams[i] for i in order),
-        entries=tuple(tuple(g.entries[i][j] for j in order) for i in order),
-    )
-    monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: reordered)
+def test_verify_gram_det_rejects_wrong_product_form(monkeypatch):
+    # a factored form that the certified E_{2,1} of G_1 does not meet
+    real = gram_partition.product_form
+
+    def shifted(s, r, l):
+        p = real(s, r, l)
+        return p * Polynomial.x_minus(9) if (s, r, l) == (1, 2, 1) else p
+
+    monkeypatch.setattr(gram_partition, "product_form", shifted)
     report = verify_gram_det(3, 1)
-    assert [f["step"] for f in report.failures] == ["unitriangular"]
-    assert "not above it" in report.failures[0]["detail"]
-
-
-def _swapped_rows(g, i, j):
-    order = list(range(g.n))
-    order[i], order[j] = j, i
-    return replace(
-        g,
-        diagrams=tuple(g.diagrams[a] for a in order),
-        entries=tuple(tuple(g.entries[a][b] for b in order) for a in order),
-    )
-
-
-def test_verify_gram_det_accepts_swap_within_block_count(monkeypatch):
-    # the first and last rows with two blocks, entries permuted with them:
-    # their partitions' runs split, and Z stays upper unitriangular
-    g = build_gram(3, 1)
-    two = [i for i, d in enumerate(g.diagrams) if d.partition.block_count == 2]
-    assert g.diagrams[two[0]].partition != g.diagrams[two[-1]].partition
-    swapped = _swapped_rows(g, two[0], two[-1])
-    monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: swapped)
-    report = verify_gram_det(3, 1)
-    assert report.passed, report.failures
-    assert report.to_json_dict() == verify_gram_det(3, 1, gram=g).to_json_dict()
-
-
-def test_verify_gram_det_rejects_swap_across_block_counts(monkeypatch):
-    # the last row with two blocks and the first with three: the congruence
-    # still holds entry by entry, but the block counts fall
-    g = build_gram(3, 1)
-    i = max(i for i, d in enumerate(g.diagrams) if d.partition.block_count == 2)
-    swapped = _swapped_rows(g, i, i + 1)
-    monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: swapped)
-    report = verify_gram_det(3, 1)
-    assert [f["step"] for f in report.failures] == ["unitriangular"]
-    assert "not above it" in report.failures[0]["detail"]
-
-
-def test_verify_gram_det_rejects_short_basis(monkeypatch):
-    g = build_gram(3, 1)
-    short = replace(g, diagrams=g.diagrams[:-1], entries=tuple(r[:-1] for r in g.entries[:-1]))
-    monkeypatch.setattr(gram_partition, "build_gram", lambda k, s, max_size=0: short)
-    report = verify_gram_det(3, 1)
-    assert not report.passed
-    assert report.failures[-1]["step"] == "unitriangular"
-    assert "not the 10 half diagrams" in report.failures[-1]["detail"]
+    assert [(f["step"], f["r"], f["l"]) for f in report.failures] == [("product form", 2, 1)]
+    assert report.extra["det"] is None
 
 
 def test_verify_gram_det_rejects_wrong_block_spectrum(monkeypatch):
@@ -674,18 +653,6 @@ def test_verify_gram_det_certifies_every_block_itself(monkeypatch):
     assert det.degree() == 12
 
 
-@pytest.mark.parametrize("k, s, other", [(3, 1, (4, 3)), (1, 0, (1, 1))])
-def test_verify_gram_det_rejects_gram_of_another_shape(k, s, other):
-    # G_3 on 4 points has the side 10 of G_1 on 3 points, and G_1 on 1 point
-    # the side 1 of G_0 on 1 point: each is a true Gram matrix, of the wrong shape
-    g = build_gram(*other)
-    assert g.n == oracle.gram_det_side(k, s)
-    report = verify_gram_det(k, s, gram=g)
-    assert not report.passed
-    assert [f["step"] for f in report.failures] == ["unitriangular"]
-    assert report.extra["det"] is None
-
-
 def test_verify_gram_det_rejects_uncertified_block(monkeypatch):
     # the closed form of A^{3,1} with a coefficient off fails its certificate
     real = spectrum.distinct_eigenvalues
@@ -698,19 +665,28 @@ def test_verify_gram_det_rejects_uncertified_block(monkeypatch):
     assert [(f["step"], f["r"]) for f in report.failures] == [("characters", 2)]
 
 
-@pytest.mark.parametrize("s", [0, 4])
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
 def test_verify_gram_det_work_cap(monkeypatch, s):
-    # (7, 0) and (7, 4): sides 877 and 1400 pass the side cap of 3000, but
-    # their n^2 cells do not pass MAX_CONGRUENCE_CELLS; nothing is built
+    # the degree of det G_s on 7 points, sum_r r S(7,s+r) C(s+r,s), passes
+    # MAX_DET_DEGREE; it is checked before anything is enumerated or built
+    degree = {0: 3263, 1: 9604, 2: 10668, 3: 5600}[s]
     def refuse(*args, **kwargs):
-        raise AssertionError("G_s must not be built past the work cap")
+        raise AssertionError("nothing may run past the work cap")
 
     monkeypatch.setattr(gram_partition, "build_gram", refuse)
-    with pytest.raises(SizeCapExceeded, match="congruence cells"):
+    monkeypatch.setattr(gram_partition, "join_masks", refuse)
+    monkeypatch.setattr(oracle, "restricted_growth", refuse)
+    monkeypatch.setattr(sdm, "build", refuse)
+    message = f"G_{s} on 7 points: size {degree} exceeds cap {oracle.MAX_DET_DEGREE}"
+    with pytest.raises(SizeCapExceeded, match=message):
         verify_gram_det(7, s)
 
 
-def test_gram_det_side_caps():
-    assert oracle.gram_det_side(6, 2) == 856
-    with pytest.raises(SizeCapExceeded, match="G_1 on 3 points: size 10 exceeds cap 5"):
-        oracle.gram_det_side(3, 1, max_size=5)
+@pytest.mark.parametrize(
+    "k, s", [(k, s) for k in range(1, 7) for s in range(k + 1)] + [(7, s) for s in range(4, 8)]
+)
+def test_semisimple_exceptions_are_the_zeros_of_the_certified_det(k, s):
+    # every root of a block eigenpolynomial lies in [-1, 2k]
+    det = Polynomial.of(map(int, verify_gram_det(k, s).extra["det"]))
+    zeros = {x for x in range(-2, 2 * k + 3) if det.eval_at(x) == 0}
+    assert gram_partition.semisimple_exceptions(k, s) == zeros

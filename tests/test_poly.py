@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+from diagram_spectra.errors import SizeCapExceeded
 from diagram_spectra.poly import (
     NEG_INF,
     ONE,
@@ -9,7 +12,6 @@ from diagram_spectra.poly import (
     Polynomial,
     factor_product,
     format_terms,
-    integer_roots,
 )
 
 polys = st.builds(
@@ -89,29 +91,18 @@ def test_pow():
         X.pow(-1)
 
 
-def test_integer_roots():
-    assert integer_roots(Polynomial.of([2, -3, 1])) == {1, 2}
-    assert integer_roots(X) == {0}
-    assert integer_roots(Polynomial.of([-4, -1, 1])) == set()  # discriminant 17
-    assert integer_roots(Polynomial.of([0, 0, 1])) == {0}
-    assert integer_roots(Polynomial.of([6, -5, 1]).scale(3)) == {2, 3}
-    assert integer_roots(ONE) == set()
-    # a root past sqrt(|c_0|), found as a cofactor
-    assert integer_roots(Polynomial.of([1000, -1001, 1])) == {1, 1000}
-    # (x + 16)(x - 2)^2 (x^2 - 5x + 3): 16 = 2^(1 + max_i floor(bitlen(c_{n-i}) / i)),
-    # so the root bound needs the ceiling
-    assert integer_roots(Polynomial.of([192, -500, 400, -117, 7, 1])) == {-16, 2}
+@pytest.mark.parametrize("a", [-7, -1, 0, 1, 2, 5])
+def test_x_minus_pow_is_the_power(a):
+    for e in range(13):
+        assert Polynomial.x_minus_pow(a, e) == Polynomial.x_minus(a).pow(e), (a, e)
 
 
-def test_integer_roots_rejects_zero():
-    with pytest.raises(ValueError):
-        integer_roots(ZERO)
-
-
-@given(st.sets(st.integers(min_value=-40, max_value=40), min_size=1, max_size=5))
-def test_integer_roots_recovers_linear_factors(roots):
-    p = factor_product(Polynomial.x_minus(a) for a in roots)
-    assert integer_roots(p) == roots
+def test_to_json_past_the_digit_limit_is_a_cap():
+    limit = sys.get_int_max_str_digits()
+    assert Polynomial.of([10**limit - 1]).to_json() == ["9" * limit]
+    message = f"decimal digits of a coefficient: size {limit + 1} exceeds cap {limit}"
+    with pytest.raises(SizeCapExceeded, match=message):
+        Polynomial.of([1, -(10**limit)]).to_json()
 
 
 def test_str():
