@@ -44,7 +44,6 @@ from .spectrum import (
     distinct_eigenvalues,
     eberlein_coefficient,
     multiplicities,
-    substituted_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +80,6 @@ __all__ = [
     "set_partitions",
     "stirling2",
     "substitute",
-    "substituted_spectrum",
     "verify_gram_det",
     "verify_sdm_spectrum",
     "x_e_poly",

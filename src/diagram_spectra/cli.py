@@ -191,7 +191,6 @@ def _gram_partition(args: argparse.Namespace) -> Result:
     det_report = oracle.verify_gram_det(k, s) if args.det else None
     det_sign = det_report.extra["epsilon"] if det_report is not None else None
     gram = gram_partition.build_gram(k, s, args.max_size) if args.matrix else None
-    blocks = gram_partition.block_spectra(k, s)
     singular = gram_partition.semisimple_exceptions(k, s) if args.roots else None
 
     data = gram_partition.to_json_dict(
@@ -201,7 +200,6 @@ def _gram_partition(args: argparse.Namespace) -> Result:
         det_sign=det_sign,
         singular_x=singular,
         gram=gram,
-        blocks=blocks,
     )
     if det_report is not None:
         data["det"] = det_report.extra["det"]

@@ -11,9 +11,9 @@ matrix rows are addressed by position. The orders used here:
 * set_partitions(n, b): lexicographic on the restricted-growth string,
   e.g. for n=3, b=2: 001 ({1,2}{3}) < 010 ({1,3}{2}) < 011 ({1}{2,3}).
 
-restricted_growth is the one set-partition enumerator, behind set_partitions
-and the coarsenings of oracle's Gram certificate. It keeps its place in a
-list, not on the call stack, so any number of points works.
+set_partitions is the one set-partition enumerator. It steps from one
+restricted-growth string to the next in place, with no recursion, so any
+number of points works; the Gram certificate counts its coarsenings instead.
 
 All counts are Python ints, so nothing overflows.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 
 def binomial(n: int, k: int) -> int:
@@ -41,6 +40,11 @@ def stirling2(n: int, b: int) -> int:
         raise ValueError(f"stirling2: arguments must be nonnegative, got ({n}, {b})")
     if b > n:
         return 0
+    # one block of two points, or none: the only partitions this close to n
+    if b == n:
+        return 1
+    if b == n - 1:
+        return n * (n - 1) // 2
     # inclusion-exclusion over the blocks left empty by a map onto b labels,
     # divided by the b! labellings; 0**0 == 1 covers S(0, 0) = 1
     total = sum((-1) ** j * math.comb(b, j) * (b - j) ** n for j in range(b + 1))
@@ -120,59 +124,34 @@ class SetPartition:
         return "".join(str(b) for b in self.block_assignment)
 
 
-def restricted_growth(
-    flags: Sequence[int], blocks: int | None = None
-) -> Iterator[tuple[list[int], list[int]]]:
-    """Set partitions of range(len(flags)) that never put two elements whose
-    flags share a bit in one block, with exactly `blocks` blocks when it is
-    given, in lexicographic order of the restricted-growth string.
-
-    Each item is the list of block labels and the list of each block's
-    union of flags; both are updated in place between items.
-    """
-    n = len(flags)
-    labels = [0] * n
-    unions: list[int] = []
-    openers: list[int] = []  # the element that opened each block
-    i, lab = 0, 0  # the next label to try for element i
-    while i >= 0:
-        m = len(unions)
-        if i == n:
-            if blocks is None or m == blocks:
-                yield labels, unions
-            lab = m + 1
-        else:
-            f = flags[i]
-            # the n - 1 - i elements after i open at most one block each
-            if blocks is not None and blocks - m > n - 1 - i:
-                lab = max(lab, m)
-            while lab < m and unions[lab] & f:
-                lab += 1
-        if lab < m:
-            unions[lab] |= f
-        elif lab == m and m != blocks:
-            unions.append(f)
-            openers.append(i)
-        else:
-            # no label left for element i: take back element i - 1's
-            i -= 1
-            if i >= 0:
-                lab = labels[i]
-                if openers[-1] == i:
-                    unions.pop()
-                    openers.pop()
-                else:
-                    unions[lab] ^= flags[i]
-                lab += 1
-            continue
-        labels[i] = lab
-        i, lab = i + 1, 0
-
-
 def set_partitions(n: int, b: int) -> list[SetPartition]:
     """All partitions of {1..n} into exactly b blocks, RGS-lexicographic."""
     if n < 1 or b < 1:
         raise ValueError(f"set_partitions: need n, b >= 1, got ({n}, {b})")
     if b > n:
         raise ValueError(f"set_partitions: b={b} exceeds n={n}")
-    return [SetPartition(tuple(labels)) for labels, _ in restricted_growth([0] * n, b)]
+    # the least string: zeros, then each new label as late as it can open
+    labels = [0] * (n - b + 1) + list(range(1, b))
+    # tops[i] is the largest label before position i
+    tops = list(itertools.accumulate(labels, max, initial=-1))
+    out = [SetPartition(tuple(labels))]
+    while True:
+        # the last position i whose label can grow by one: to at most one
+        # past the labels before it and below b, leaving the b - 1 - top
+        # labels still to open room in the n - 1 - i positions after it
+        for i in range(n - 1, 0, -1):
+            lab, top = labels[i] + 1, tops[i]
+            if lab > top:
+                if lab > top + 1:
+                    continue
+                top = lab
+            if top < b and b - 1 - top <= n - 1 - i:
+                break
+        else:
+            return out
+        # then the least tail: zeros, then the labels still to open
+        fresh = range(top + 1, b)
+        zeros = n - 1 - i - len(fresh)
+        labels[i:] = [lab] + [0] * zeros + list(fresh)
+        tops[i + 1 :] = [top] * (zeros + 1) + list(fresh)
+        out.append(SetPartition(tuple(labels)))

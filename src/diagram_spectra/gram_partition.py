@@ -39,10 +39,11 @@ Hence det Z = 1 and
 with sign +1, proved rather than measured: oracle.verify_gram_det checks the
 congruence one join type at a time, since a cell of either side depends only
 on the size of the join and the overlap of the two through choices, and
-never builds G_s. For s = 0 this is Lindstrom's determinant of the join
-matrix of the partition lattice, prod_m (x)_m^{stirling2(k,m)}.
+never builds G_s or A^{s+r,s}. For s = 0 this is Lindstrom's determinant of
+the join matrix of the partition lattice, prod_m (x)_m^{stirling2(k,m)}.
 
-product_form is the factored shape of E_{r,l}:
+product_form is the factored shape of E_{r,l}, and block_spectrum reports
+each E_{r,l} from it; only the certificate forms the Eberlein sum:
 
     E_{r,l} = prod_{i=0}^{l-1} (x - (s-1+i)) * prod_{j=0}^{r-l-1} (x - (2s+j)).
 
@@ -62,7 +63,7 @@ from typing import Iterator, Sequence
 from .combinat import SetPartition, Subset, binomial, k_subsets, set_partitions, stirling2
 from .errors import SizeCapExceeded
 from .poly import X, ZERO, Polynomial, factor_product
-from .spectrum import substituted_spectrum
+from .spectrum import multiplicities
 
 DEFAULT_MAX_SIZE = 3000
 
@@ -224,8 +225,8 @@ def block_spectrum(k: int, s: int, r: int) -> BlockSpectrum:
     if not (0 <= r <= k - s):
         raise ValueError(f"r={r} out of range 0..{k - s}")
     copies = stirling2(k, s + r)
-    eigen = substituted_spectrum(s, r, x_substitution_poly)
-    return BlockSpectrum(r=r, eigenpolys=tuple((l, e_l, copies * m) for l, e_l, m in eigen))
+    eigen = [(l, product_form(s, r, l), copies * m) for l, m in enumerate(multiplicities(s, r))]
+    return BlockSpectrum(r=r, eigenpolys=tuple(eigen))
 
 
 def block_spectra(k: int, s: int) -> list[BlockSpectrum]:
@@ -268,13 +269,12 @@ def to_json_dict(
     singular_x: set[int] | None = None,
     *,
     gram: GramMatrix | None = None,
-    blocks: Sequence[BlockSpectrum] | None = None,
 ) -> dict:
-    """The JSON form of `gram partition`. gram and blocks, when given, are
-    build_gram(k, s) and block_spectra(k, s), so that a caller who holds
-    them does not compute them twice."""
+    """The JSON form of `gram partition`. gram, when given, is
+    build_gram(k, s), so that a caller who holds it does not build it
+    twice."""
     out_blocks = []
-    for spec_r in block_spectra(k, s) if blocks is None else blocks:
+    for spec_r in block_spectra(k, s):
         r = spec_r.r
         out_blocks.append(
             {

@@ -13,10 +13,14 @@ pattern with entries
 and a Z2-part identical in shape to the partition-algebra substitution with
 parameters (s2, r2). Eigenpolynomials of a tensor block are therefore the
 pairwise products of the two families' eigenpolynomials, with per-copy
-multiplicity m_{l1}(s1,r1) * m_{l2}(s2,r2). How many copies of each (r1,r2)
-block occur inside the full Gram matrix is not determined here (no usable
-closed form is available for the Z2-stable analogue of the Stirling copy
-count), so callers supply copy counts when they aggregate.
+multiplicity m_{l1}(s1,r1) * m_{l2}(s2,r2). Both are formed from linear
+factors: the Z2 one is product_form(s2, r2, l2), and as X_{e,t}(x) =
+2^{r1} X_t((x^2 - x)/2), X_t the partition substitution at (s1, r1), the e
+one is product_form(s1, r1, l1) with each x - a made x^2 - x - 2a. How many
+copies of each (r1,r2) block occur inside the full Gram matrix is not
+determined here (no usable closed form is available for the Z2-stable
+analogue of the Stirling copy count), so callers supply copy counts when
+they aggregate.
 
 Block ranges, with K = k - s1 - s2: Z2-relations mode allows
 0 <= r1, r2 <= K; signed mode additionally requires r2 <= K - 1.
@@ -42,9 +46,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import SizeCapExceeded
-from .gram_partition import x_substitution_poly
+from .gram_partition import product_form, product_form_roots, x_substitution_poly
 from .poly import Polynomial, factor_product
-from .spectrum import substituted_spectrum
+from .spectrum import multiplicities
 
 
 def _quadratic_factor(c: int) -> Polynomial:
@@ -96,10 +100,15 @@ def block_spectrum_tensor(
 ) -> list[tuple[int, int, Polynomial, int]]:
     """Per-copy spectrum of one tensor block: (l1, l2, eigenpoly, mult)."""
     key.validate(mode)
-    e_fam = substituted_spectrum(key.s1, key.r1, x_e_poly)
-    z_fam = substituted_spectrum(key.s2, key.r2, x_substitution_poly)
+    e_fam = [
+        factor_product(map(_quadratic_factor, product_form_roots(key.s1, key.r1, l)))
+        for l in range(min(key.s1, key.r1) + 1)
+    ]
+    z_fam = [product_form(key.s2, key.r2, l) for l in range(min(key.s2, key.r2) + 1)]
     return [
-        (l1, l2, p1 * p2, m1 * m2) for l1, p1, m1 in e_fam for l2, p2, m2 in z_fam
+        (l1, l2, p1 * p2, m1 * m2)
+        for l1, (p1, m1) in enumerate(zip(e_fam, multiplicities(key.s1, key.r1)))
+        for l2, (p2, m2) in enumerate(zip(z_fam, multiplicities(key.s2, key.r2)))
     ]
 
 

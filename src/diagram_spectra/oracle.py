@@ -20,33 +20,34 @@ modules beyond the Polynomial container:
 
 verify_sdm_spectrum certifies the spectrum of A^{s+r,s} symbolically, for
 every x at once, in Python integers. Its level relations A_0..A_d
-(d = min(s,r)) are those of the Johnson scheme J(s+r, s). The intersection
-numbers p^u_vw are read off row 0 of the level matrix against every column:
-S_{s+r} permutes positions, so it acts transitively on the through sets and
-keeps overlaps, and row 0 stands for every row. The closed form passes when
-its coefficient rows are d+1 distinct characters of the algebra spanned by
-the A_v, with P_l(d) = 1, and its multiplicities meet the orthogonality
-relation n = m_l sum_v P_l(v)^2 / k_v (Delsarte 1973; Brouwer, Cohen &
-Neumaier, Distance-Regular Graphs, ch. 2 and 9.1). charpoly runs only when
-the certificate fails, on `trials` random substitutions seeded by `seed`,
-to find witnesses.
+(d = min(s,r)) are those of the Johnson scheme J(s+r, s). The closed form
+passes when its coefficient rows are d+1 distinct characters of the algebra
+spanned by the A_v, with P_l(d) = 1, and its multiplicities meet the
+orthogonality relation n = m_l sum_v P_l(v)^2 / k_v (Delsarte 1973;
+Brouwer, Cohen & Neumaier, Distance-Regular Graphs, ch. 2 and 9.1). The
+intersection numbers p^u_vw it takes are read off row 0 of the built level
+matrix against every column: S_{s+r} permutes positions, so it acts
+transitively on the through sets and keeps overlaps, and row 0 stands for
+every row. charpoly runs only when the certificate fails, on `trials` random
+substitutions seeded by `seed`, to find witnesses.
 
 verify_gram_det certifies det G_s = prod_{r,l} E_{r,l}^{mult}, sign +1
-included, from (k, s) alone: it builds no G_s, visits no pair of
-partitions and evaluates no determinant. It checks the paper's reduction as
-a congruence G_s = Z^T D Z one join type at a time: a cell of either side
-depends only on the number c of blocks of the join of its two partitions
-and the overlap o of its two through choices, and a cell of Z^T D Z sums
-over the coarsenings of the join that keep the two through choices apart,
-enumerated by combinat.restricted_growth. For s = 0 each identity is
-Stirling's sum_b S(c,b) (x)_b = x^c, behind Lindstrom's determinant. Z is
+included, from (k, s) alone, in closed-form arithmetic: it builds no G_s
+and no level matrix, enumerates no partitions and evaluates no
+determinant. It checks the paper's reduction as a congruence
+G_s = Z^T D Z one join type at a time: a cell of either side depends only
+on the number c of blocks of the join of its two partitions and the overlap
+o of its two through choices, and a cell of Z^T D Z sums over the
+coarsenings of the join that keep the two through choices apart, counted
+by their block counts (Rota 1964). For s = 0 each identity is Stirling's
+sum_b S(c,b) (x)_b = x^c, behind Lindstrom's determinant. Z is
 unitriangular in block-count order, as a theorem, so det G_s = det D. Each
 block of D, a substituted A^{s+r,s}, is certified with the certificate
-above, for every r, against block_spectrum(k, s, r), and each certified
-E_{r,l} must equal product_form(s, r, l), so the det is expanded from the
-powers of its linear factors. Its work is capped by the degree of the det,
-MAX_DET_DEGREE, since that expansion dominates; det_poly stays as an
-independent cross-check in the tests.
+above on the counted intersection numbers of J(s+r, s), for every r,
+against block_spectrum(k, s, r), whose E_{r,l} is a product of linear
+factors, so the det is expanded from their powers. Its work is capped by
+the degree of the det, MAX_DET_DEGREE, since that expansion dominates;
+det_poly stays as an independent cross-check in the tests.
 
 Both verify_* functions produce machine-readable reports; failures are
 reported with witnesses, never raised.
@@ -62,7 +63,7 @@ from operator import itemgetter, mul
 from typing import Sequence
 
 from . import gram_partition, sdm, spectrum
-from .combinat import binomial, restricted_growth, stirling2
+from .combinat import binomial, stirling2
 from .errors import SizeCapExceeded
 from .poly import ONE, X, ZERO, Polynomial, factor_product
 
@@ -261,16 +262,10 @@ class VerifyReport:
         return out
 
 
-def _certificate_failure(
-    levels: Sequence[Sequence[int]], d: int, forms: Sequence
-) -> tuple[str, str] | None:
-    """The first failed step of the Bose-Mesner certificate, as (step,
-    detail), or None when every step holds.
-
-    levels is a symmetric level matrix with levels 0..d and level d on the
-    diagonal; forms claim its spectrum, P_l(v) = forms[l].coeffs[v] being
-    the eigenvalue of the level-v relation A_v on family l.
-    """
+def _read_intersection_numbers(levels: Sequence, d: int) -> tuple[list | None, str | None]:
+    """The intersection numbers p[u][v][w] = p^u_vw read off a symmetric
+    level matrix with levels 0..d and level d on the diagonal, as (p, None),
+    or (None, detail) when the matrix has no such numbers."""
     n = len(levels)
     row0 = levels[0]
     groups: list[list[int]] = [[] for _ in range(d + 1)]
@@ -278,9 +273,9 @@ def _certificate_failure(
         groups[v].append(z)
     missing = [u for u, g in enumerate(groups) if not g]
     if missing:
-        return "intersection numbers", f"row 0 misses level {missing[0]}"
+        return None, f"row 0 misses level {missing[0]}"
     if groups[d] != [0]:
-        return "intersection numbers", f"level {d} is not the identity relation"
+        return None, f"level {d} is not the identity relation"
     # p^u_vw = #{z : level(0, z) = v, level(z, y) = w} for any column y at
     # level u. Row 0 is enough: S_{s+r} permutes positions, so it acts
     # transitively on the through sets and keeps overlaps, hence levels; a
@@ -292,7 +287,7 @@ def _certificate_failure(
         spans.append((lo, lo + len(g)))
         lo += len(g)
     pick = itemgetter(*order) if n > 1 else lambda row: (row[0],)
-    p: list[list[list[int]] | None] = [None] * (d + 1)
+    p: list = [None] * (d + 1)
     for y, row in enumerate(levels):
         picked = bytes(pick(row))
         table = [[picked.count(w, a, b) for w in range(d + 1)] for a, b in spans]
@@ -300,7 +295,40 @@ def _certificate_failure(
         if p[u] is None:
             p[u] = table
         elif p[u] != table:
-            return "intersection numbers", f"column {y} disagrees with an earlier one at level {u}"
+            return None, f"column {y} disagrees with an earlier one at level {u}"
+    return p, None
+
+
+def _intersection_numbers(s: int, r: int) -> list[list[list[int]]]:
+    """p[u][v][w] = p^u_vw of the Johnson scheme J(s+r, s), counted; level v
+    is overlap a_v = v + s - d, d = min(s,r). Fix through sets A, B at level
+    u; a C at level v from A and w from B has x elements in A cap B, a_v - x
+    in A minus B, a_w - x in B minus A and s - a_v - a_w + x among the
+    r - s + a_u others. At most d + 1 values of x give terms."""
+    d = min(s, r)
+    a = [v + s - d for v in range(d + 1)]
+
+    def count(au: int, av: int, aw: int) -> int:
+        xs = range(max(0, au + av - s, au + aw - s), min(au, av, aw) + 1)
+        return sum(
+            binomial(au, x) * binomial(s - au, av - x) * binomial(s - au, aw - x)
+            * binomial(r - s + au, s - av - aw + x)
+            for x in xs
+        )
+
+    return [[[count(au, av, aw) for aw in a] for av in a] for au in a]
+
+
+def _certificate_failure(p: Sequence, forms: Sequence) -> tuple[str, str] | None:
+    """The first failed step of the Bose-Mesner certificate, as (step,
+    detail), or None when every step holds.
+
+    p[u][v][w] = p^u_vw are the intersection numbers of a commutative
+    association scheme with relations A_0..A_d, A_d the identity; forms
+    claim the spectrum of sum_v x_v A_v, P_l(v) = forms[l].coeffs[v] being
+    the eigenvalue of A_v on family l.
+    """
+    d = len(p) - 1
     # P_l(v) P_l(w) = sum_u p^u_vw P_l(u) makes row l a character of the
     # Bose-Mesner algebra spanned by A_0..A_d; P_l(d) = 1 since A_d = I
     rows = [f.coeffs for f in forms]
@@ -316,8 +344,9 @@ def _certificate_failure(
     if len(set(rows)) != d + 1:
         return "distinct characters", "two families have the same coefficients"
     # orthogonality: m_l sum_v P_l(v)^2 / k_v = n, over the common multiple
-    # of the valencies k_v = p^d_vv so that it stays in integers
+    # of the valencies k_v = p^d_vv, which sum to n, so it stays in integers
     k = [p[d][v][v] for v in range(d + 1)]
+    n = sum(k)
     common = math.lcm(*k)
     for l, (pl, f) in enumerate(zip(rows, forms)):
         if f.multiplicity * sum(c * c * (common // kv) for c, kv in zip(pl, k)) != n * common:
@@ -359,7 +388,8 @@ def verify_sdm_spectrum(
         raise ValueError(f"need trials >= 1, got {trials}")
     matrix = sdm.build(s, r, max_size=max_size)
     forms = spectrum.distinct_eigenvalues(s, r)
-    failed = _certificate_failure(matrix.levels, matrix.min_level, forms)
+    p, detail = _read_intersection_numbers(matrix.levels, matrix.min_level)
+    failed = ("intersection numbers", detail) if p is None else _certificate_failure(p, forms)
     failures = []
     if failed is not None:
         rng = random.Random(f"{seed}:{s}:{r}")
@@ -406,20 +436,25 @@ def congruence_entry(s: int, c: int, o: int) -> Polynomial:
     through blocks P and Q land on s distinct join blocks each, o of them in
     common.
 
-    The entry sums D_t[T_P, T_Q] over the partitions t that are p or coarser
-    and q or coarser, i.e. the coarsenings of the join, on which P and Q each
-    land on s distinct blocks. A permutation of the join blocks carries the
-    coarsenings of one such configuration onto those of another with the
-    same c and o, keeping block counts and overlaps, so the sum is taken at
-    a canonical configuration.
+    The entry sums D_t[T_P, T_Q] = X(s, b - s, s - o - j) over the
+    partitions t of the c join blocks that keep P's blocks apart and Q's
+    apart, counted (Rota 1964), not enumerated: t pairs j of the s - o blocks
+    only P meets with j of those only Q meets, in C(s-o, j)^2 j! ways, and
+    has m = 2s - o - j blocks that P or Q meets; of the f = c - 2s + o other
+    join blocks, i make its b - m other blocks, in C(f, i) S(i, b - m) ways,
+    and the rest join one of the m, in m^(f - i) ways.
     """
     xsub = gram_partition.x_substitution_poly
-    # flag bit 1 marks a join block that P meets, bit 2 one that Q meets
-    flags = [3] * o + [1] * (s - o) + [2] * (s - o) + [0] * (c - 2 * s + o)
-    terms = Counter((len(u), u.count(3)) for _, u in restricted_growth(flags))
+    f = c - 2 * s + o
     acc = ZERO
-    for (blocks, shared), count in terms.items():
-        acc = acc + xsub(s, blocks - s, s - shared).scale(count)
+    for j in range(s - o + 1):
+        pairs = binomial(s - o, j) ** 2 * math.factorial(j)
+        m = 2 * s - o - j
+        for b in range(m, m + f + 1):
+            spread = sum(
+                binomial(f, i) * m ** (f - i) * stirling2(i, b - m) for i in range(b - m, f + 1)
+            )
+            acc = acc + xsub(s, b - s, s - o - j).scale(pairs * spread)
     return acc
 
 
@@ -458,17 +493,17 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
     G_s is built and no pair of partitions is visited.
 
     Raises SizeCapExceeded when the degree of the det passes
-    MAX_DET_DEGREE, before any other work. Then three checks, none of which
-    evaluates a determinant:
+    MAX_DET_DEGREE, before any other work. Then two checks, none of which
+    evaluates a determinant, builds a matrix or enumerates partitions:
     1. congruence: for every join type (c, o), a cell of G_s equals the
        same cell of Z^T D Z (_congruence_failure);
-    2. for each r, the Bose-Mesner certificate of A^{s+r,s}
-       (_certificate_failure) proves det D_t = prod_l E_l^{m_l} for each of
+    2. block spectrum: for each r, the Bose-Mesner certificate of
+       A^{s+r,s} (_certificate_failure), on the counted intersection
+       numbers of J(s+r, s), proves det D_t = prod_l E_l^{m_l} for each of
        the stirling2(k,s+r) partitions t with s+r blocks, where E_l =
        sum_v P_l(v) X_v is formed from the certified rows; each E_l and its
-       total multiplicity must equal block_spectrum's;
-    3. product form: each certified E_{r,l} equals product_form(s, r, l), so
-       det G_s is a product of linear factors.
+       total multiplicity must equal block_spectrum's, whose E_{r,l} is
+       product_form(s, r, l), so det G_s is a product of linear factors.
 
     Z is unitriangular in any row order by ascending block count, as a
     theorem: Z[(t,T),(p,P)] = 1 only when t is p or coarser, the identity
@@ -489,11 +524,13 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
     if failed is not None:
         failures.append(failed)
     # nnz(Z): a column (p, P), p with b blocks, has one entry per coarsening
-    # of p that keeps the s blocks of P apart, N(b, s) of them
+    # of p that keeps the s blocks of P apart: i of the other b - s blocks
+    # make new blocks, in Bell(i) ways, and the rest join one of P's
+    bell = [sum(stirling2(i, j) for j in range(i + 1)) for i in range(k - s + 1)]
     z_nnz = sum(
         stirling2(k, b)
         * binomial(b, s)
-        * sum(1 for _ in restricted_growth([1] * s + [0] * (b - s)))
+        * sum(binomial(b - s, i) * s ** (b - s - i) * bell[i] for i in range(b - s + 1))
         for b in range(s, k + 1)
     )
     exponents: Counter[int] = Counter()
@@ -501,13 +538,12 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
         if not count:
             # s + r = 0: no partition of k >= 1 points has 0 blocks
             continue
-        matrix = sdm.build(s, r)
         forms = spectrum.distinct_eigenvalues(s, r)
-        failed = _certificate_failure(matrix.levels, matrix.min_level, forms)
+        failed = _certificate_failure(_intersection_numbers(s, r), forms)
         if failed is not None:
             failures.append({"step": failed[0], "r": r, "detail": failed[1]})
             continue
-        d = matrix.min_level
+        d = min(s, r)
         xs = [gram_partition.x_substitution_poly(s, r, d - v) for v in range(d + 1)]
         certified = []
         for f in forms:
@@ -521,19 +557,8 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
             want = [[l, e.to_json(), m] for l, e, m in certified]
             failures.append({"step": "block spectrum", "r": r, "expected": want, "got": got})
             continue
-        for l, e_l, mult in certified:
-            factored = gram_partition.product_form(s, r, l)
-            if e_l != factored:
-                failures.append(
-                    {
-                        "step": "product form",
-                        "r": r,
-                        "l": l,
-                        "expected": factored.to_json(),
-                        "got": e_l.to_json(),
-                    }
-                )
-                break
+        # block_spectrum's E_{r,l} is the product of x - a over these roots
+        for l, _, mult in certified:
             for a in gram_partition.product_form_roots(s, r, l):
                 exponents[a] += mult
     passed = not failures

@@ -24,8 +24,9 @@ distinct_eigenvalues computes (d+1)^2 Eberlein coefficients, d = min(s,r),
 each an alternating sum of up to d+1 binomial products, and raises
 SizeCapExceeded past MAX_EBERLEIN_TERMS of them.
 
-substituted_spectrum evaluates the families with each x_{min(s,r)-t}
-replaced by a polynomial; every Gram family here is one such substitution.
+Every Gram family here substitutes polynomials for the x_{min(s,r)-t}; the
+Gram modules report each from its linear factors, and only the oracle forms
+the substituted sums, to certify them.
 
 difference_transform is the finite-difference identity that generates the
 families: applying a^{l+1}_t = a^l_t - a^l_{t-1} to a base sequence l times
@@ -36,11 +37,11 @@ property, not as the production evaluation path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .combinat import binomial
 from .errors import SizeCapExceeded
-from .poly import ZERO, Polynomial, format_terms
+from .poly import format_terms
 
 
 # (d+1)^2 coefficients at d = 127, about a second of work for s = r
@@ -97,22 +98,6 @@ def distinct_eigenvalues(s: int, r: int) -> list[EigenvalueForm]:
             coeffs[lo - t] = eberlein_coefficient(s, r, l, t)
         forms.append(EigenvalueForm(l=l, coeffs=tuple(coeffs), multiplicity=mults[l]))
     return forms
-
-
-def substituted_spectrum(
-    s: int, r: int, x_poly: Callable[[int, int, int], Polynomial]
-) -> list[tuple[int, Polynomial, int]]:
-    """(l, E_l, m_l) for l = 0..min(s,r), with x_{min(s,r)-t} replaced by
-    x_poly(s, r, t). Unlike distinct_eigenvalues it accepts the shape (0, 0),
-    which occurs as a Gram block."""
-    xs = [x_poly(s, r, t) for t in range(min(s, r) + 1)]
-    out = []
-    for l, mult in enumerate(multiplicities(s, r)):
-        e_l = ZERO
-        for t, x_t in enumerate(xs):
-            e_l = e_l + x_t.scale(eberlein_coefficient(s, r, l, t))
-        out.append((l, e_l, mult))
-    return out
 
 
 def difference_transform(base: Sequence[int], l: int) -> list[int]:

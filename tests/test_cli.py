@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -382,6 +383,29 @@ def test_gram_partition_one_partition_many_points_no_traceback(flag):
         assert data["matrix"]["n"] == 1 and data["matrix"]["entries"] == [[["1"]]]
     else:
         assert (data["det_sign"], data["det"]) == (1, ["1"])
+
+
+def test_gram_partition_det_k2000_exits_on_the_digit_cap_promptly():
+    # degree 2000, within the degree cap: the certificate counts everything
+    # it checks, so the run reaches the digit cap on printing the det at
+    # once, with no level matrix of side 2000 built first
+    src = str(Path(diagram_spectra.__file__).parents[1])
+    code = (
+        "import sys; from diagram_spectra.cli import gram_main; "
+        "sys.exit(gram_main(['partition', '--k', '2000', '--s', '1999', '--det']))"
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == EXIT_CAP
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "exceeds cap" in proc.stderr
 
 
 def test_gram_partition_roots_many_points_no_traceback():

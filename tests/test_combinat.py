@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -8,7 +7,6 @@ from diagram_spectra.combinat import (
     Subset,
     binomial,
     k_subsets,
-    restricted_growth,
     set_partitions,
     stirling2,
 )
@@ -50,6 +48,15 @@ def test_stirling2_recurrence():
     for n in range(1, 40):
         for b in range(1, n + 2):
             assert stirling2(n, b) == b * stirling2(n - 1, b) + stirling2(n - 1, b - 1)
+
+
+def test_stirling2_equals_the_recurrence_table():
+    # S(n, b) from the recurrence alone, row by row, against stirling2's
+    # inclusion-exclusion sum and its closed forms at b = n and b = n - 1
+    row = [1]  # n = 0
+    for n in range(1, 61):
+        row = [0] + [b * row[b] + row[b - 1] for b in range(1, n)] + [1]
+        assert [stirling2(n, b) for b in range(n + 2)] == row + [0], n
 
 
 def test_k_subsets_examples():
@@ -118,34 +125,19 @@ def test_set_partitions_many_points():
     assert [p.block_assignment for p in set_partitions(1200, 1200)] == [tuple(range(1200))]
 
 
-def _brute_restricted_growth(flags):
-    # every label string with label i at most i (each restricted-growth
-    # string is one), kept when it is one and keeps flagged elements apart;
-    # itertools.product yields them in lexicographic order
-    out = []
-    for labels in itertools.product(*(range(i + 1) for i in range(len(flags)))):
-        if any(lab > max(labels[:i], default=-1) + 1 for i, lab in enumerate(labels)):
-            continue
-        unions = [0] * (max(labels, default=-1) + 1)
-        for lab, f in zip(labels, flags):
-            if unions[lab] & f:
-                break
-            unions[lab] |= f
-        else:
-            out.append((labels, tuple(unions)))
-    return out
-
-
-def test_restricted_growth_matches_brute_force():
-    rng = random.Random(0)
-    for n in range(8):
-        vectors = [[0] * n, [1] * n, [1, 2, 3, 0, 1, 2, 3][:n]]
-        vectors += [[rng.randrange(4) for _ in range(n)] for _ in range(6)]
-        for flags in vectors:
-            want = _brute_restricted_growth(flags)
-            for blocks in [None] + list(range(n + 2)):
-                got = [(tuple(l), tuple(u)) for l, u in restricted_growth(flags, blocks)]
-                assert got == [w for w in want if blocks in (None, len(w[1]))], (flags, blocks)
+def test_set_partitions_matches_brute_force():
+    # every label string with label i at most i, in lexicographic order from
+    # itertools.product, kept when it is a restricted-growth string with b
+    # distinct labels
+    for n in range(1, 8):
+        strings = [
+            labels
+            for labels in itertools.product(*(range(i + 1) for i in range(n)))
+            if all(lab <= max(labels[:i], default=-1) + 1 for i, lab in enumerate(labels))
+        ]
+        for b in range(1, n + 1):
+            want = [labels for labels in strings if len(set(labels)) == b]
+            assert [p.block_assignment for p in set_partitions(n, b)] == want, (n, b)
 
 
 def test_set_partitions_rejections():

@@ -12,7 +12,8 @@ from diagram_spectra.gram_partition import (
     to_json_dict,
     x_substitution_poly,
 )
-from diagram_spectra.poly import ONE, Polynomial, X
+from diagram_spectra.poly import ONE, ZERO, Polynomial, X
+from diagram_spectra.spectrum import eberlein_coefficient
 
 
 def test_enumerate_2_1():
@@ -162,14 +163,22 @@ def test_product_form_examples():
 
 
 def test_product_form_equals_sum_form():
-    # the closed product and the Eberlein sum agree for every family
+    # block_spectrum's E_{r,l}, formed from linear factors, and the Eberlein
+    # sum of the substitutions agree for every family
     for s in range(0, 7):
         for r in range(0, 7):
             k = s + r  # any k >= s+r gives the same eigenpolys; use the smallest
             if k == 0:
                 continue
             for l, p, _ in block_spectrum(k, s, r).eigenpolys:
-                assert p == product_form(s, r, l), (s, r, l)
+                eberlein = sum(
+                    (
+                        x_substitution_poly(s, r, t).scale(eberlein_coefficient(s, r, l, t))
+                        for t in range(min(s, r) + 1)
+                    ),
+                    ZERO,
+                )
+                assert p == eberlein == product_form(s, r, l), (s, r, l)
 
 
 def test_product_form_printed_bound_breaks_for_r_above_s():

@@ -12,20 +12,45 @@ from diagram_spectra.gram_signed_z2 import (
     x_e_poly,
     x_z2_poly,
 )
-from diagram_spectra.poly import ONE, Polynomial, factor_product
-from diagram_spectra.spectrum import multiplicities, substituted_spectrum
+from diagram_spectra.poly import ONE, ZERO, Polynomial, factor_product
+from diagram_spectra.spectrum import eberlein_coefficient, multiplicities
 
 
 def _quad(c):
     return Polynomial.of([-2 * c, -1, 1])  # x^2 - x - 2c
 
 
+def _eberlein_family(s, r, x_poly):
+    # (l, E_l) with E_l = sum_t e(s,r,l,t) x_poly(s, r, t), l = 0..min(s,r)
+    lo = min(s, r)
+    terms = range(lo + 1)
+    return [
+        (l, sum((x_poly(s, r, t).scale(eberlein_coefficient(s, r, l, t)) for t in terms), ZERO))
+        for l in range(lo + 1)
+    ]
+
+
 def _e_family(s1, r1):
-    return [(l, p) for l, p, _ in substituted_spectrum(s1, r1, x_e_poly)]
+    return _eberlein_family(s1, r1, x_e_poly)
 
 
 def _z2_family(s2, r2):
-    return [(l, p) for l, p, _ in substituted_spectrum(s2, r2, x_z2_poly)]
+    return _eberlein_family(s2, r2, x_z2_poly)
+
+
+def test_tensor_families_are_the_eberlein_sums():
+    # block_spectrum_tensor forms both families from linear factors; each
+    # equals the Eberlein sum of its substitution, with the multiplicities
+    # of A^{s+r,s}
+    for s in range(13):
+        for r in range(13):
+            mults = multiplicities(s, r)
+            e_only = block_spectrum_tensor(SignedBlockKey(k=s + r, s1=s, s2=0, r1=r, r2=0), "z2")
+            z2_only = block_spectrum_tensor(SignedBlockKey(k=s + r, s1=0, s2=s, r1=0, r2=r), "z2")
+            want = [(l, p, mults[l]) for l, p in _e_family(s, r)]
+            assert [(l1, p, m) for l1, _, p, m in e_only] == want, (s, r)
+            want = [(l, p, mults[l]) for l, p in _z2_family(s, r)]
+            assert [(l2, p, m) for _, l2, p, m in z2_only] == want, (s, r)
 
 
 def test_x_e_poly_examples():
@@ -87,8 +112,8 @@ def test_z2_family_examples():
 
 
 def test_z2_family_matches_partition_blocks():
-    # the Z2 part is computed by the same code path as the plain partition
-    # blocks, so the eigenpolys must agree family by family
+    # the Z2 part is the plain partition substitution, so the Eberlein sums
+    # and the partition blocks must agree family by family
     for s in range(0, 5):
         for r in range(0, 5):
             k = s + r if s + r >= 1 else 1

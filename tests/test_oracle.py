@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 import os
@@ -10,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import diagram_spectra
-from diagram_spectra import gram_partition, oracle, sdm, spectrum
+from diagram_spectra import combinat, gram_partition, oracle, sdm, spectrum
 from diagram_spectra.errors import SizeCapExceeded
 from diagram_spectra.oracle import (
     _MERSENNE_EXPONENTS,
     _certificate_failure,
+    _intersection_numbers,
+    _read_intersection_numbers,
     charpoly,
     congruence_entry,
     det_by_minors,
@@ -287,6 +290,21 @@ def _swapped(forms):
     return [replace(forms[0], multiplicity=m1), replace(forms[1], multiplicity=m0)] + forms[2:]
 
 
+def _read(matrix):
+    # the intersection numbers read off a built level matrix
+    p, detail = _read_intersection_numbers(matrix.levels, matrix.min_level)
+    assert detail is None, detail
+    return p
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_intersection_numbers_count_the_level_matrix(n):
+    # the counted numbers equal those read off sdm.build, for every shape
+    # with s + r = n (sides up to 924)
+    for s in range(n + 1):
+        assert _intersection_numbers(s, n - s) == _read(sdm.build(s, n - s)), (s, n - s)
+
+
 def _charpoly_agrees(matrix, forms, values):
     expected = ONE
     for f in forms:
@@ -306,10 +324,10 @@ def test_certificate_agrees_with_charpoly_at_small_sides(n):
         # nonzero values, so that an x_0 coefficient that is off shows
         draws = [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(d + 1)] for _ in range(3)]
         for claim in (forms, _perturbed(forms, d, 0)):
-            certified = _certificate_failure(matrix.levels, d, claim) is None
+            certified = _certificate_failure(_read(matrix), claim) is None
             agrees = all(_charpoly_agrees(matrix, claim, values) for values in draws)
             assert certified == agrees, (s, n - s, claim)
-        assert _certificate_failure(matrix.levels, d, forms) is None
+        assert _certificate_failure(_read(matrix), forms) is None
 
 
 @pytest.mark.parametrize(
@@ -319,8 +337,7 @@ def test_certificate_agrees_with_charpoly_at_small_sides(n):
 )
 def test_certificate_rejects_mutated_closed_form(monkeypatch, mutate, step):
     forms = mutate(spectrum.distinct_eigenvalues(3, 4))
-    matrix = sdm.build(3, 4)
-    assert _certificate_failure(matrix.levels, 3, forms)[0] == step
+    assert _certificate_failure(_intersection_numbers(3, 4), forms)[0] == step
     monkeypatch.setattr(spectrum, "distinct_eigenvalues", lambda s, r: forms)
     report = verify_sdm_spectrum(3, 4, trials=2, seed=0)
     assert not report.passed
@@ -337,9 +354,8 @@ def test_certificate_rejects_tampered_level_matrix(monkeypatch):
     rows[1][2], rows[1][k] = rows[1][k], rows[1][2]
     rows[2][1], rows[k][1] = rows[k][1], rows[2][1]
     tampered = replace(matrix, levels=tuple(map(tuple, rows)))
-    forms = spectrum.distinct_eigenvalues(3, 4)
-    step, detail = _certificate_failure(tampered.levels, 3, forms)
-    assert step == "intersection numbers"
+    p, detail = _read_intersection_numbers(tampered.levels, 3)
+    assert p is None
     assert "disagrees" in detail
     monkeypatch.setattr(sdm, "build", lambda s, r, max_size: tampered)
     assert not verify_sdm_spectrum(3, 4, trials=1).passed
@@ -409,7 +425,7 @@ def test_verify_sdm_spectrum_equal_forms_return_promptly():
     )
     assert proc.stdout == "False [0, 1]\n"
     assert _certificate_failure(
-        sdm.build(2, 3).levels, 2, [spectrum.distinct_eigenvalues(2, 3)[0]] * 3
+        _intersection_numbers(2, 3), [spectrum.distinct_eigenvalues(2, 3)[0]] * 3
     )[0] == "distinct characters"
 
 
@@ -482,12 +498,16 @@ def no_det_poly(monkeypatch):
 
 
 def test_verify_gram_det_pass_path_runs_no_det_poly(no_det_poly, monkeypatch):
-    # nor does it build G_s or pass over pairs of partitions
+    # nor does it build G_s or a level matrix, pass over pairs of
+    # partitions or enumerate partitions
     def refuse(*args, **kwargs):
-        raise AssertionError("the certificate must not build G_s")
+        raise AssertionError("the certificate must not build or enumerate")
 
     monkeypatch.setattr(gram_partition, "build_gram", refuse)
     monkeypatch.setattr(gram_partition, "join_masks", refuse)
+    monkeypatch.setattr(sdm, "build", refuse)
+    monkeypatch.setattr(combinat, "set_partitions", refuse)
+    monkeypatch.setattr(gram_partition, "set_partitions", refuse)
     for k in range(1, 6):
         for s in range(k + 1):
             assert verify_gram_det(k, s).passed, (k, s)
@@ -564,6 +584,37 @@ def test_build_gram_cells_match_congruence(k, s):
     assert _cell_failure(build_gram(k, s)) is None
 
 
+def _brute_congruence_entry(s, c, o, partitions):
+    # congruence_entry's sum over the partitions t of the c join blocks,
+    # kept when no block of t holds two blocks that P meets, or two that Q
+    # meets; flag bit 1 marks a join block that P meets, bit 2 one that Q
+    # meets
+    flags = [3] * o + [1] * (s - o) + [2] * (s - o) + [0] * (c - 2 * s + o)
+    terms = collections.Counter()
+    for labels in partitions:
+        unions = [0] * (max(labels) + 1)
+        for lab, f in zip(labels, flags):
+            if unions[lab] & f:
+                break
+            unions[lab] |= f
+        else:
+            terms[len(unions), unions.count(3)] += 1
+    xsub = gram_partition.x_substitution_poly
+    return sum((xsub(s, b - s, s - shared).scale(n) for (b, shared), n in terms.items()), ZERO)
+
+
+@pytest.mark.parametrize("c", range(1, 10))
+def test_congruence_entry_counts_the_coarsenings(c):
+    # the counted sum against the enumerated one, for every join type
+    partitions = [
+        t.block_assignment for b in range(1, c + 1) for t in combinat.set_partitions(c, b)
+    ]
+    for s in range(c + 1):
+        for o in range(max(0, 2 * s - c), s + 1):
+            want = _brute_congruence_entry(s, c, o, partitions)
+            assert congruence_entry(s, c, o) == want, (s, c, o)
+
+
 def _tampered_gram(k, s, i, j, value, mirror=True):
     g = build_gram(k, s)
     rows = [list(row) for row in g.entries]
@@ -595,9 +646,9 @@ def test_verify_gram_det_rejects_one_sided_change():
 
 
 def test_verify_gram_det_rejects_perturbed_substitution(monkeypatch, capsys):
-    # X_0 of the r = 1 blocks of G_1 off by one: block_spectrum follows the
-    # change, so the congruence with the closed form of G_s sees it, and so
-    # does the product form of the certified E_{1,l}
+    # X_0 of the r = 1 blocks of G_1 off by one: the congruence with the
+    # closed form of G_s sees it, and so does the comparison of the certified
+    # E_{1,l} with block_spectrum's, which is formed from linear factors
     real = gram_partition.x_substitution_poly
 
     def perturbed(s, r, t):
@@ -606,14 +657,15 @@ def test_verify_gram_det_rejects_perturbed_substitution(monkeypatch, capsys):
 
     monkeypatch.setattr(gram_partition, "x_substitution_poly", perturbed)
     report = verify_gram_det(3, 1)
-    assert [f["step"] for f in report.failures] == ["congruence", "product form"]
+    assert [f["step"] for f in report.failures] == ["congruence", "block spectrum"]
     assert report.extra["epsilon"] is None and report.extra["det"] is None
     assert gram_main(["partition", "--k", "3", "--s", "1", "--det"]) == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["det"] is None
 
 
 def test_verify_gram_det_rejects_wrong_product_form(monkeypatch):
-    # a factored form that the certified E_{2,1} of G_1 does not meet
+    # a factored form that the certified E_{2,1} of G_1 does not meet:
+    # block_spectrum reports it, and the certificate refuses it
     real = gram_partition.product_form
 
     def shifted(s, r, l):
@@ -622,7 +674,7 @@ def test_verify_gram_det_rejects_wrong_product_form(monkeypatch):
 
     monkeypatch.setattr(gram_partition, "product_form", shifted)
     report = verify_gram_det(3, 1)
-    assert [(f["step"], f["r"], f["l"]) for f in report.failures] == [("product form", 2, 1)]
+    assert [(f["step"], f["r"]) for f in report.failures] == [("block spectrum", 2)]
     assert report.extra["det"] is None
 
 
@@ -675,7 +727,8 @@ def test_verify_gram_det_work_cap(monkeypatch, s):
 
     monkeypatch.setattr(gram_partition, "build_gram", refuse)
     monkeypatch.setattr(gram_partition, "join_masks", refuse)
-    monkeypatch.setattr(oracle, "restricted_growth", refuse)
+    monkeypatch.setattr(oracle, "congruence_entry", refuse)
+    monkeypatch.setattr(oracle, "_intersection_numbers", refuse)
     monkeypatch.setattr(sdm, "build", refuse)
     message = f"G_{s} on 7 points: size {degree} exceeds cap {oracle.MAX_DET_DEGREE}"
     with pytest.raises(SizeCapExceeded, match=message):

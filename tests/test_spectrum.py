@@ -10,7 +10,6 @@ from diagram_spectra.spectrum import (
     distinct_eigenvalues,
     eberlein_coefficient,
     multiplicities,
-    substituted_spectrum,
     to_json_dict,
 )
 from diagram_spectra.poly import Polynomial
@@ -114,21 +113,6 @@ def test_distinct_eigenvalues_work_cap(monkeypatch):
     assert len(distinct_eigenvalues(3, 50)) == 4
     with pytest.raises(SizeCapExceeded, match="Eberlein terms"):
         distinct_eigenvalues(4, 4)
-
-
-def test_substituted_spectrum_at_constants_is_the_closed_form():
-    values = [3, -1, 4, 1, -5]
-    for s in range(0, 5):
-        for r in range(0, 5):
-            lo = min(s, r)
-            got = substituted_spectrum(s, r, lambda s_, r_, t: Polynomial.of([values[lo - t]]))
-            if s + r == 0:
-                assert got == [(0, Polynomial.of([values[0]]), 1)]
-                continue
-            assert got == [
-                (f.l, Polynomial.of([f.eval_at(values[: lo + 1])]), f.multiplicity)
-                for f in distinct_eigenvalues(s, r)
-            ]
 
 
 def test_difference_transform_examples():
