@@ -15,7 +15,9 @@ set_partitions is the one set-partition enumerator. It steps from one
 restricted-growth string to the next in place, with no recursion, so any
 number of points works; the Gram certificate counts its coarsenings instead.
 
-All counts are Python ints, so nothing overflows.
+All counts are Python ints, so nothing overflows. The enumerators build
+their Subset and SetPartition values through `unchecked`, since each is valid
+by construction; the public constructors still validate.
 """
 
 from __future__ import annotations
@@ -45,10 +47,39 @@ def stirling2(n: int, b: int) -> int:
         return 1
     if b == n - 1:
         return n * (n - 1) // 2
+    # near the diagonal the closed form's O((n-b)^2) table beats the
+    # inclusion-exclusion sum up to about n - b = n/5 at n <= 100 and n/4 at
+    # n = 3000; the cut at n/8 keeps it well inside that
+    if 8 * (n - b) <= n:
+        return _stirling2_near_diagonal(n, n - b)
     # inclusion-exclusion over the blocks left empty by a map onto b labels,
     # divided by the b! labellings; 0**0 == 1 covers S(0, 0) = 1
     total = sum((-1) ** j * math.comb(b, j) * (b - j) ** n for j in range(b + 1))
     return total // math.factorial(b)
+
+
+def _stirling2_near_diagonal(n: int, j: int) -> int:
+    """S(n, n - j), a polynomial in n of degree 2j: the sum over i of
+    <<j, i>> C(n + j - 1 - i, 2j), with <<j, i>> the second-order Eulerian
+    numbers (Graham, Knuth & Patashnik, Concrete Mathematics, eq. 6.43).
+    The <<m, i>>, i < m, follow from <<m, i>> = (i + 1) <<m-1, i>> +
+    (2m - 1 - i) <<m-1, i-1>>, starting at <<0, 0>> = 1."""
+    row = [1]
+    for m in range(1, j + 1):
+        row = [
+            (i + 1) * a + (2 * m - 1 - i) * b
+            for i, (a, b) in enumerate(zip(row + [0], [0] + row))
+        ][:m]
+    return sum(e * math.comb(n + j - 1 - i, 2 * j) for i, e in enumerate(row))
+
+
+def unchecked(cls, *values):
+    """cls(*values) for a frozen dataclass, skipping its __post_init__
+    check: for enumerators whose output is valid by construction."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -81,7 +112,7 @@ def k_subsets(n: int, k: int) -> list[Subset]:
     if k > n:
         raise ValueError(f"k_subsets: k={k} exceeds n={n}")
     # itertools.combinations of an ascending range is already lexicographic
-    return [Subset(c) for c in itertools.combinations(range(1, n + 1), k)]
+    return [unchecked(Subset, c) for c in itertools.combinations(range(1, n + 1), k)]
 
 
 @dataclass(frozen=True)
@@ -134,7 +165,7 @@ def set_partitions(n: int, b: int) -> list[SetPartition]:
     labels = [0] * (n - b + 1) + list(range(1, b))
     # tops[i] is the largest label before position i
     tops = list(itertools.accumulate(labels, max, initial=-1))
-    out = [SetPartition(tuple(labels))]
+    out = [unchecked(SetPartition, tuple(labels))]
     while True:
         # the last position i whose label can grow by one: to at most one
         # past the labels before it and below b, leaving the b - 1 - top
@@ -154,4 +185,4 @@ def set_partitions(n: int, b: int) -> list[SetPartition]:
         zeros = n - 1 - i - len(fresh)
         labels[i:] = [lab] + [0] * zeros + list(fresh)
         tops[i + 1 :] = [top] * (zeros + 1) + list(fresh)
-        out.append(SetPartition(tuple(labels)))
+        out.append(unchecked(SetPartition, tuple(labels)))

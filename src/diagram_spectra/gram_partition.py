@@ -13,7 +13,10 @@ a factor of x. Otherwise the propagating number of the product has dropped
 and the entry is 0. The entry depends on the two partitions only through
 their join, so join_masks forms one join per pair of partitions and turns
 each row's through choice into the set of join blocks it lands on; build_gram,
-its one consumer, reads G_s off it.
+its one consumer, reads G_s off it. For each pair of partitions, build_gram
+files q's rows by mask, keeping the masks of s bits, and each of p's rows
+looks its own mask up: the hits are exactly the nonzero cells, so no pair of
+rows is compared.
 
 Paired row and column operations reduce G_s to a block-diagonal matrix with
 stirling2(k,s+r) identical blocks for each r, and each block is a symmetric
@@ -60,7 +63,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .combinat import SetPartition, Subset, binomial, k_subsets, set_partitions, stirling2
+from .combinat import (
+    SetPartition,
+    Subset,
+    binomial,
+    k_subsets,
+    set_partitions,
+    stirling2,
+    unchecked,
+)
 from .errors import SizeCapExceeded
 from .poly import X, ZERO, Polynomial, factor_product
 from .spectrum import multiplicities
@@ -118,7 +129,7 @@ def enumerate_half_diagrams(k: int, s: int) -> list[HalfDiagram]:
         choices = k_subsets(nb, s)
         for part in set_partitions(k, nb):
             for thr in choices:
-                out.append(HalfDiagram(partition=part, through_blocks=thr))
+                out.append(unchecked(HalfDiagram, part, thr))
     return out
 
 
@@ -155,18 +166,23 @@ def join_masks(
     blocks land on, so it has s bits only when they land on s distinct ones.
     Every cell (i, j) is in some item as (i, j) or (j, i), in any row order.
     """
+    # per run: the labels, the block count, and each row's through blocks as
+    # 0-based block indices
     runs = [
-        (p, [(i, d.through_blocks.elements) for i, d in run])
+        (
+            p.block_assignment,
+            p.block_count,
+            [(i, [t - 1 for t in d.through_blocks.elements]) for i, d in run],
+        )
         for p, run in itertools.groupby(enumerate(diagrams), key=lambda e: e[1].partition)
     ]
-    for a, (p, thr_p) in enumerate(runs):
-        for q, thr_q in runs[a:]:
+    for a, (labels_p, bp, thr_p) in enumerate(runs):
+        for labels_q, bq, thr_q in runs[a:]:
             # the join as a union-find over the blocks of p and then of q;
             # each point ties its block in p to its block in q
-            bp = p.block_count
-            parent = list(range(bp + q.block_count))
+            parent = list(range(bp + bq))
             c = len(parent)
-            for x, y in zip(p.block_assignment, q.block_assignment):
+            for x, y in zip(labels_p, labels_q):
                 y += bp
                 while parent[x] != x:
                     x = parent[x]
@@ -175,13 +191,15 @@ def join_masks(
                 if x != y:
                     parent[y] = x
                     c -= 1
-            comp = []
+            # bits[b] is the join block of block b, as a one-bit mask
+            bits = []
             for x in parent:
                 while parent[x] != x:
                     x = parent[x]
-                comp.append(x)
-            masks_p = [(i, sum(1 << comp[t - 1] for t in thr)) for i, thr in thr_p]
-            masks_q = [(j, sum(1 << comp[bp + t - 1] for t in thr)) for j, thr in thr_q]
+                bits.append(1 << x)
+            bits_q = bits[bp:]
+            masks_p = [(i, sum(map(bits.__getitem__, thr))) for i, thr in thr_p]
+            masks_q = [(j, sum(map(bits_q.__getitem__, thr))) for j, thr in thr_q]
             yield c, masks_p, masks_q
 
 
@@ -194,12 +212,18 @@ def build_gram(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> GramMatrix:
     powers = [X.pow(m) for m in range(k - s + 1)]
     rows = [[ZERO] * n for _ in range(n)]
     for c, masks_p, masks_q in join_masks(diagrams):
+        # the q rows by mask, kept only when the mask has s bits; each p row
+        # then finds its nonzero cells in one lookup
+        by_mask: dict[int, list[int]] = {}
+        for j, mask in masks_q:
+            if mask.bit_count() == s:
+                by_mask.setdefault(mask, []).append(j)
+        if not by_mask:
+            continue
+        power = powers[c - s]
         for i, mask in masks_p:
-            if mask.bit_count() != s:
-                continue
-            for j, other in masks_q:
-                if other == mask:
-                    rows[i][j] = rows[j][i] = powers[c - s]
+            for j in by_mask.get(mask, ()):
+                rows[i][j] = rows[j][i] = power
     return GramMatrix(
         k=k, s=s, diagrams=tuple(diagrams), entries=tuple(tuple(row) for row in rows)
     )

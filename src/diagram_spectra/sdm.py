@@ -18,6 +18,14 @@ turns a level matrix into a concrete matrix over whatever ring the caller
 supplies values from (integers for the verification oracle, polynomials for
 Gram-block work).
 
+Row i is therefore a sum of s indicator vectors, one per element e of
+through_i, each marking the columns whose through set holds e, less the
+constant s - min(s,r). `build` packs each element's indicator into one int
+with a byte per column, so a row costs s big-int additions and one
+subtraction, and its bytes are the row's levels. Every level lies in
+[0, min(s,r)], and min(s,r) <= 255 at any side that fits in memory, so each
+byte of the result is exact even where a partial sum carried.
+
 Rows and columns follow k_subsets(s+r, s), i.e. lexicographic order of the
 through-position sets. Any fixed order would do mathematically; this one is
 documented so that emitted matrices are reproducible byte for byte.
@@ -26,13 +34,16 @@ documented so that emitted matrices are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence, TypeVar
 
 from .combinat import binomial, k_subsets
 from .errors import SizeCapExceeded
 
-# a side of 4000 is 16 M cells; memory grows as the side squared (side 3432
-# peaks at about 106 MB), and the largest side built in practice is 3003
+# a side of 4000 is 16 M cells; memory grows as the side squared, one 8-byte
+# pointer per cell, since every level is a cached small int (build(7, 7), side
+# 3432, peaks at about 106 MB of which 16 MB is the interpreter), and the
+# largest side built in practice is 3003
 DEFAULT_MAX_SIZE = 4000
 
 T = TypeVar("T")
@@ -73,11 +84,22 @@ def build(s: int, r: int, max_size: int = DEFAULT_MAX_SIZE) -> EntryMatrix:
     n = binomial(s + r, s)
     if n > max_size:
         raise SizeCapExceeded(f"A^{{{s + r},{s}}}", n, max_size)
-    # through sets as bitmasks, so an overlap is one AND and one bit count
-    masks = [sum(1 << e for e in t.elements) for t in k_subsets(s + r, s)]
-    base = min(s, r) - s
-    rows = [tuple(base + (mi & mj).bit_count() for mj in masks) for mi in masks]
-    return EntryMatrix(s=s, r=r, n=n, levels=tuple(rows))
+    through = k_subsets(s + r, s)
+    # byte j of packed[e - 1] is 1 when column j's through set holds e
+    columns = [bytearray(n) for _ in range(s + r)]
+    for j, t in enumerate(through):
+        for e in t.elements:
+            columns[e - 1][j] = 1
+    packed = [int.from_bytes(col, "little") for col in columns]
+    # byte j of a row's sum is |through_i cap through_j|, and of the row
+    # less the bias its level; a partial sum past 255 carries, but the ints
+    # are exact and the final bytes are levels, so nothing is lost
+    bias = (s - min(s, r)) * int.from_bytes(b"\x01" * n, "little")
+    rows = tuple(
+        tuple((sum([packed[e - 1] for e in t.elements]) - bias).to_bytes(n, "little"))
+        for t in through
+    )
+    return EntryMatrix(s=s, r=r, n=n, levels=rows)
 
 
 def substitute(m: EntryMatrix, values: Sequence[T]) -> list[list[T]]:
@@ -86,4 +108,7 @@ def substitute(m: EntryMatrix, values: Sequence[T]) -> list[list[T]]:
         raise ValueError(
             f"expected {m.min_level + 1} values (levels 0..{m.min_level}), got {len(values)}"
         )
-    return [[values[v] for v in row] for row in m.levels]
+    if m.n == 1:
+        # itemgetter of one index returns the item, not a tuple
+        return [[values[m.levels[0][0]]]]
+    return [list(itemgetter(*row)(values)) for row in m.levels]

@@ -10,6 +10,7 @@ from diagram_spectra.combinat import (
     set_partitions,
     stirling2,
 )
+from diagram_spectra.gram_partition import HalfDiagram, enumerate_half_diagrams
 
 
 def test_binomial_values():
@@ -48,6 +49,17 @@ def test_stirling2_recurrence():
     for n in range(1, 40):
         for b in range(1, n + 2):
             assert stirling2(n, b) == b * stirling2(n - 1, b) + stirling2(n - 1, b - 1)
+
+
+def test_stirling2_near_the_diagonal_equals_the_recurrence():
+    # S(n, n - j) for j <= 12 from the recurrence alone, along the band next
+    # to the diagonal, up to n = 3000: every entry with 8j <= n comes from
+    # the second-order Eulerian closed form, the rest from inclusion-exclusion
+    band = [1] + [0] * 12  # band[j] = S(n, n - j), n = 0
+    for n in range(1, 3001):
+        band = [1] + [(n - j) * band[j - 1] + band[j] for j in range(1, 13)]
+        if n <= 200 or n % 250 == 0:
+            assert [stirling2(n, n - j) if j <= n else 0 for j in range(13)] == band, n
 
 
 def test_stirling2_equals_the_recurrence_table():
@@ -152,3 +164,29 @@ def test_set_partition_rgs_validation():
         SetPartition((1, 0))
     with pytest.raises(ValueError):
         SetPartition((0, 2))
+
+
+def test_enumerators_skip_the_check_but_public_constructors_keep_it():
+    # enumerated values equal validated ones, field for field and by hash
+    for n in range(1, 8):
+        for b in range(1, n + 1):
+            for p in set_partitions(n, b):
+                assert p == SetPartition(p.block_assignment)
+                assert hash(p) == hash(SetPartition(p.block_assignment))
+        for k in range(n + 1):
+            for t in k_subsets(n, k):
+                assert t == Subset(t.elements)
+    for k in range(1, 5):
+        for s in range(k + 1):
+            for d in enumerate_half_diagrams(k, s):
+                valid = HalfDiagram(
+                    SetPartition(d.partition.block_assignment), Subset(d.through_blocks.elements)
+                )
+                assert d == valid and hash(d) == hash(valid)
+    # the public constructors still validate
+    with pytest.raises(ValueError, match="restricted-growth"):
+        SetPartition((0, 2, 1))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Subset((3, 2))
+    with pytest.raises(ValueError, match="exceeds 2 blocks"):
+        HalfDiagram(SetPartition((0, 1)), Subset((3,)))

@@ -107,13 +107,22 @@ def test_shape_laws(s, r):
             assert counts[lo - t] == binomial(s, t) * binomial(r, t)
 
 
-@pytest.mark.parametrize("s,r", [(s, m - s) for m in range(1, 9) for s in range(m + 1)])
+# s + r <= 10, then shapes where build's packed rows, one byte per column,
+# sum s >= 256 indicators, so a column's partial sum passes 255 before the
+# bias comes off; (1, 300) is a row 301 bytes wide
+@pytest.mark.parametrize(
+    "s,r", [(s, m - s) for m in range(1, 11) for s in range(m + 1)] + [(300, 1), (1, 300), (260, 1)]
+)
 def test_entry_rule(s, r):
     # levels[i][j] = min(s,r) - s + |T_i cap T_j|, T_i in lexicographic order
-    throughs = [set(t) for t in itertools.combinations(range(1, s + r + 1), s)]
-    assert build(s, r).levels == tuple(
+    throughs = [set(Subset(t).elements) for t in itertools.combinations(range(1, s + r + 1), s)]
+    levels = build(s, r).levels
+    assert levels == tuple(
         tuple(min(s, r) - s + len(ti & tj) for tj in throughs) for ti in throughs
     )
+    assert type(levels) is tuple
+    assert all(type(row) is tuple for row in levels)
+    assert all(type(v) is int for row in levels for v in row)
 
 
 @pytest.mark.parametrize("s,r", [(1, 2), (2, 3), (3, 1), (2, 2), (0, 4)])
@@ -160,6 +169,23 @@ def test_substitute_polynomials():
     inst = substitute(m, [minus_1, x_minus_1])
     assert inst[0][0] == x_minus_1
     assert inst[0][1] == minus_1
+
+
+@pytest.mark.parametrize("s,r", [(1, 0), (0, 1), (4, 0), (0, 4)])
+def test_substitute_side_1(s, r):
+    # one row of one cell; the level is 0 since min(s, r) = 0
+    assert substitute(build(s, r), ["x0"]) == [["x0"]]
+
+
+@pytest.mark.parametrize("s,r", [(1, 1), (2, 2), (3, 2), (2, 5)])
+def test_substitute_polynomials_match_definition(s, r):
+    from diagram_spectra.poly import Polynomial
+
+    m = build(s, r)
+    values = [Polynomial.x_minus(v) for v in range(m.min_level + 1)]
+    inst = substitute(m, values)
+    assert type(inst) is list and all(type(row) is list for row in inst)
+    assert inst == [[values[v] for v in row] for row in m.levels]
 
 
 def test_substitute_zero_map():
