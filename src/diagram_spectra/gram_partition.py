@@ -11,12 +11,11 @@ classes of each side land on s distinct join blocks, the same s for both
 sides, the entry is x^(c-s): every other join block collapses to a loop worth
 a factor of x. Otherwise the propagating number of the product has dropped
 and the entry is 0. The entry depends on the two partitions only through
-their join, so join_masks forms one join per pair of partitions and turns
-each row's through choice into the set of join blocks it lands on; build_gram,
-its one consumer, reads G_s off it. For each pair of partitions, build_gram
-files q's rows by mask, keeping the masks of s bits, and each of p's rows
-looks its own mask up: the hits are exactly the nonzero cells, so no pair of
-rows is compared.
+their join, so build_gram forms one join per pair of partitions, as a
+union-find over their blocks, and turns each row's through choice into a
+mask of the join blocks it lands on. It files q's rows by mask, keeping the
+masks of s bits, and each of p's rows looks its own mask up: the hits are
+exactly the nonzero cells, so no pair of rows is compared.
 
 Paired row and column operations reduce G_s to a block-diagonal matrix with
 stirling2(k,s+r) identical blocks for each r, and each block is a symmetric
@@ -61,7 +60,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .combinat import (
     SetPartition,
@@ -109,9 +107,32 @@ class HalfDiagram:
         return "".join(parts)
 
 
+# every golden, test and bench shape is far under; (3000, 2990) counts 506,
+# (240, 0) 29 161 and (3000, 2000) 334 835 501
+MAX_REPORT_COEFFS = 300_000
+
+
+def family_sums(s: int, top: int) -> tuple[int, int]:
+    """sum_{r=0}^{top} (min(s,r)+1) r^e for e = 0 and 1, in closed form: the
+    number of eigenpolynomials E_{r,l} of the blocks r <= top, and the sum
+    of their degrees. The summand is r + 1 up to m = min(s, top), then
+    s + 1."""
+    m = min(s, top)
+    return (
+        (m + 1) * (m + 2) // 2 + (s + 1) * (top - m),
+        m * (m + 1) * (m + 2) // 3 + (s + 1) * (top * (top + 1) - m * (m + 1)) // 2,
+    )
+
+
 def _check_shape(k: int, s: int) -> None:
+    """Raises ValueError unless k >= 1 and 0 <= s <= k, and SizeCapExceeded
+    when the `gram partition` report would hold more than MAX_REPORT_COEFFS
+    coefficients, sum_r (min(s,r)+1)(r+1), before any stirling2 runs."""
     if k < 1 or not (0 <= s <= k):
         raise ValueError(f"need k >= 1 and 0 <= s <= k, got k={k}, s={s}")
+    coeffs = sum(family_sums(s, k - s))
+    if coeffs > MAX_REPORT_COEFFS:
+        raise SizeCapExceeded("gram partition report coefficients", coeffs, MAX_REPORT_COEFFS)
 
 
 def enumerate_half_diagrams(k: int, s: int) -> list[HalfDiagram]:
@@ -156,18 +177,16 @@ def gram_side(k: int, s: int, max_size: float = DEFAULT_MAX_SIZE) -> int:
     return n
 
 
-def join_masks(
-    diagrams: Sequence[HalfDiagram],
-) -> Iterator[tuple[int, list[tuple[int, int]], list[tuple[int, int]]]]:
-    """One item per pair of runs of rows, a run being a maximal stretch of
-    rows that share a partition, with p's run at or before q's: the number c
-    of blocks of the join p v q, and (row, mask) for each row of p and each
-    row of q. A mask has one bit per join block that the row's through
-    blocks land on, so it has s bits only when they land on s distinct ones.
-    Every cell (i, j) is in some item as (i, j) or (j, i), in any row order.
-    """
-    # per run: the labels, the block count, and each row's through blocks as
-    # 0-based block indices
+def build_gram(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> GramMatrix:
+    """G_s on k points, in the row order of enumerate_half_diagrams. The cap
+    is checked on the side before anything is enumerated."""
+    n = gram_side(k, s, max_size)
+    diagrams = enumerate_half_diagrams(k, s)
+    # a join has at most k blocks, so an entry is x^m with m <= k - s
+    powers = [X.pow(m) for m in range(k - s + 1)]
+    rows = [[ZERO] * n for _ in range(n)]
+    # per run of rows that share a partition: its labels, its block count,
+    # and each row's through blocks as 0-based block indices
     runs = [
         (
             p.block_assignment,
@@ -176,6 +195,8 @@ def join_masks(
         )
         for p, run in itertools.groupby(enumerate(diagrams), key=lambda e: e[1].partition)
     ]
+    # each pair of runs once, p's at or before q's: every cell (i, j) is
+    # written with its mirror (j, i)
     for a, (labels_p, bp, thr_p) in enumerate(runs):
         for labels_q, bq, thr_q in runs[a:]:
             # the join as a union-find over the blocks of p and then of q;
@@ -191,39 +212,27 @@ def join_masks(
                 if x != y:
                     parent[y] = x
                     c -= 1
-            # bits[b] is the join block of block b, as a one-bit mask
+            # bits[b] is the join block of block b as a one-bit mask; a row's
+            # mask has s bits only when it lands on s distinct join blocks
             bits = []
             for x in parent:
                 while parent[x] != x:
                     x = parent[x]
                 bits.append(1 << x)
             bits_q = bits[bp:]
-            masks_p = [(i, sum(map(bits.__getitem__, thr))) for i, thr in thr_p]
-            masks_q = [(j, sum(map(bits_q.__getitem__, thr))) for j, thr in thr_q]
-            yield c, masks_p, masks_q
-
-
-def build_gram(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> GramMatrix:
-    """G_s on k points, in the row order of enumerate_half_diagrams. The cap
-    is checked on the side before anything is enumerated."""
-    n = gram_side(k, s, max_size)
-    diagrams = enumerate_half_diagrams(k, s)
-    # a join has at most k blocks, so an entry is x^m with m <= k - s
-    powers = [X.pow(m) for m in range(k - s + 1)]
-    rows = [[ZERO] * n for _ in range(n)]
-    for c, masks_p, masks_q in join_masks(diagrams):
-        # the q rows by mask, kept only when the mask has s bits; each p row
-        # then finds its nonzero cells in one lookup
-        by_mask: dict[int, list[int]] = {}
-        for j, mask in masks_q:
-            if mask.bit_count() == s:
-                by_mask.setdefault(mask, []).append(j)
-        if not by_mask:
-            continue
-        power = powers[c - s]
-        for i, mask in masks_p:
-            for j in by_mask.get(mask, ()):
-                rows[i][j] = rows[j][i] = power
+            # the q rows by mask, kept only when the mask has s bits; each p
+            # row then finds its nonzero cells in one lookup
+            by_mask: dict[int, list[int]] = {}
+            for j, thr in thr_q:
+                mask = sum(map(bits_q.__getitem__, thr))
+                if mask.bit_count() == s:
+                    by_mask.setdefault(mask, []).append(j)
+            if not by_mask:
+                continue
+            power = powers[c - s]
+            for i, thr in thr_p:
+                for j in by_mask.get(sum(map(bits.__getitem__, thr)), ()):
+                    rows[i][j] = rows[j][i] = power
     return GramMatrix(
         k=k, s=s, diagrams=tuple(diagrams), entries=tuple(tuple(row) for row in rows)
     )

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SizeCapExceeded
-from .gram_partition import product_form, product_form_roots, x_substitution_poly
+from .gram_partition import family_sums, product_form, product_form_roots, x_substitution_poly
 from .poly import Polynomial, factor_product
 from .spectrum import multiplicities
 
@@ -160,19 +160,9 @@ def _report_coeffs(s1: int, s2: int, cap: int, r2_cap: int) -> int:
     r2 <= r2_cap, the sum over its blocks of (min(s1,r1)+1)(min(s2,r2)+1)
     (2r1+r2+1): families times the coefficients of an eigenpoly of degree
     2r1+r2. The sum factors into sums over r1 and over r2 alone, each in
-    closed form, so the count costs the same at any k."""
-
-    def sums(s: int, top: int) -> tuple[int, int]:
-        # sum_{r=0}^{top} (min(s,r)+1) r^e for e = 0, 1: r + 1 up to
-        # m = min(s, top), then s + 1
-        m = min(s, top)
-        return (
-            (m + 1) * (m + 2) // 2 + (s + 1) * (top - m),
-            m * (m + 1) * (m + 2) // 3 + (s + 1) * (top * (top + 1) - m * (m + 1)) // 2,
-        )
-
-    a0, a1 = sums(s1, cap)
-    b0, b1 = sums(s2, r2_cap)
+    closed form by family_sums, so the count costs the same at any k."""
+    a0, a1 = family_sums(s1, cap)
+    b0, b1 = family_sums(s2, r2_cap)
     return 2 * a1 * b0 + a0 * b1 + a0 * b0
 
 

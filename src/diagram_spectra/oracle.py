@@ -25,11 +25,11 @@ passes when its coefficient rows are d+1 distinct characters of the algebra
 spanned by the A_v, with P_l(d) = 1, and its multiplicities meet the
 orthogonality relation n = m_l sum_v P_l(v)^2 / k_v (Delsarte 1973;
 Brouwer, Cohen & Neumaier, Distance-Regular Graphs, ch. 2 and 9.1). The
-intersection numbers p^u_vw it takes are read off row 0 of the built level
-matrix against every column: S_{s+r} permutes positions, so it acts
-transitively on the through sets and keeps overlaps, and row 0 stands for
-every row. charpoly runs only when the certificate fails, on `trials` random
-substitutions seeded by `seed`, to find witnesses.
+intersection numbers p^u_vw it takes are counted in closed form, as in the
+Gram certificate below, and tied to the built level matrix: every column,
+read against row 0, must count them. charpoly runs only when the
+certificate fails, on `trials` random substitutions seeded by `seed`, to
+find witnesses.
 
 verify_gram_det certifies det G_s = prod_{r,l} E_{r,l}^{mult}, sign +1
 included, from (k, s) alone, in closed-form arithmetic: it builds no G_s
@@ -55,6 +55,7 @@ reported with witnesses, never raised.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -262,61 +263,55 @@ class VerifyReport:
         return out
 
 
-def _read_intersection_numbers(levels: Sequence, d: int) -> tuple[list | None, str | None]:
-    """The intersection numbers p[u][v][w] = p^u_vw read off a symmetric
-    level matrix with levels 0..d and level d on the diagonal, as (p, None),
-    or (None, detail) when the matrix has no such numbers."""
-    n = len(levels)
-    row0 = levels[0]
-    groups: list[list[int]] = [[] for _ in range(d + 1)]
-    for z, v in enumerate(row0):
-        groups[v].append(z)
-    missing = [u for u, g in enumerate(groups) if not g]
-    if missing:
-        return None, f"row 0 misses level {missing[0]}"
-    if groups[d] != [0]:
-        return None, f"level {d} is not the identity relation"
-    # p^u_vw = #{z : level(0, z) = v, level(z, y) = w} for any column y at
-    # level u. Row 0 is enough: S_{s+r} permutes positions, so it acts
-    # transitively on the through sets and keeps overlaps, hence levels; a
-    # column's numbers are read off row y, the matrix being symmetric. Levels
-    # are at most d, far below 256 at any buildable side, so a row fits bytes
-    order = [z for g in groups for z in g]
-    spans, lo = [], 0
-    for g in groups:
-        spans.append((lo, lo + len(g)))
-        lo += len(g)
-    pick = itemgetter(*order) if n > 1 else lambda row: (row[0],)
-    p: list = [None] * (d + 1)
-    for y, row in enumerate(levels):
-        picked = bytes(pick(row))
-        table = [[picked.count(w, a, b) for w in range(d + 1)] for a, b in spans]
-        u = row0[y]
-        if p[u] is None:
-            p[u] = table
-        elif p[u] != table:
-            return None, f"column {y} disagrees with an earlier one at level {u}"
-    return p, None
-
-
 def _intersection_numbers(s: int, r: int) -> list[list[list[int]]]:
     """p[u][v][w] = p^u_vw of the Johnson scheme J(s+r, s), counted; level v
     is overlap a_v = v + s - d, d = min(s,r). Fix through sets A, B at level
     u; a C at level v from A and w from B has x elements in A cap B, a_v - x
     in A minus B, a_w - x in B minus A and s - a_v - a_w + x among the
-    r - s + a_u others. At most d + 1 values of x give terms."""
+    r - s + a_u others. At most d + 1 values of x give terms, each with
+    binomials in math.comb's range; p^u_vw = p^u_wv, so w runs from v up."""
     d = min(s, r)
     a = [v + s - d for v in range(d + 1)]
+    comb = math.comb
+    p = [[[0] * (d + 1) for _ in a] for _ in a]
+    for pu, au in zip(p, a):
+        for v, w in itertools.combinations_with_replacement(range(d + 1), 2):
+            av, aw = a[v], a[w]
+            xs = range(max(0, au + av - s, au + aw - s, av + aw - s), min(au, av, aw) + 1)
+            if xs:
+                pu[v][w] = pu[w][v] = sum(
+                    comb(au, x) * comb(s - au, av - x) * comb(s - au, aw - x)
+                    * comb(r - s + au, s - av - aw + x)
+                    for x in xs
+                )
+    return p
 
-    def count(au: int, av: int, aw: int) -> int:
-        xs = range(max(0, au + av - s, au + aw - s), min(au, av, aw) + 1)
-        return sum(
-            binomial(au, x) * binomial(s - au, av - x) * binomial(s - au, aw - x)
-            * binomial(r - s + au, s - av - aw + x)
-            for x in xs
-        )
 
-    return [[[count(au, av, aw) for aw in a] for av in a] for au in a]
+def _tie_failure(levels: Sequence, p: Sequence) -> tuple[str, str] | None:
+    """The first column y of a level matrix whose counts #{z : levels[0][z]
+    = v, levels[y][z] = w} are not p[u][v][w] for u = levels[0][y], as
+    ("intersection numbers", detail), or None when every column counts p.
+    With p counted for J(s+r, s), this ties the built matrix to the scheme;
+    as p^d_vv = k_v >= 1 and k_d = 1, row 0 must hold every level, and
+    level d only on the diagonal."""
+    d = len(p) - 1
+    row0 = levels[0]
+    # the columns z in order of their level in row 0, so that the z at
+    # level v form one span; levels are at most d, far below 256 at any
+    # buildable side, so a row fits bytes
+    order = sorted(range(len(row0)), key=row0.__getitem__)
+    ends = list(itertools.accumulate(row0.count(v) for v in range(d + 1)))
+    spans = list(zip([0] + ends, ends))
+    pick = itemgetter(*order) if len(order) > 1 else lambda row: (row[0],)
+    # p[u] flattened, v major, the order in which a row's counts are taken
+    want = [[c for pv in pu for c in pv] for pu in p]
+    ws = range(d + 1)
+    for y, row in enumerate(levels):
+        picked = bytes(pick(row))
+        u = row0[y]
+        if u > d or [picked.count(w, a, b) for a, b in spans for w in ws] != want[u]:
+            return "intersection numbers", f"column {y} at level {u} does not count p^{u}_vw"
+    return None
 
 
 def _certificate_failure(p: Sequence, forms: Sequence) -> tuple[str, str] | None:
@@ -369,12 +364,15 @@ def verify_sdm_spectrum(
     """Certify the closed-form spectrum of A^{s+r,s} for every x at once.
 
     The level relations A_0..A_d (d = min(s,r)) of A^{s+r,s} are those of
-    the Johnson scheme J(s+r, s). Their intersection numbers p^u_vw are read
-    off the level matrix, and the closed form passes when its coefficient
-    rows P_l(v) are d+1 distinct characters of the algebra they span
-    (P_l(d) = 1, P_l(v) P_l(w) = sum_u p^u_vw P_l(u)) whose multiplicities
-    satisfy n = m_l sum_v P_l(v)^2 / k_v. Then charpoly(sum_v x_v A_v) =
-    prod_l (lambda - E_l)^{m_l} identically; see _certificate_failure.
+    the Johnson scheme J(s+r, s). Their intersection numbers p^u_vw are
+    counted (_intersection_numbers), the same ones each block of
+    verify_gram_det takes, and tied to the built level matrix (_tie_failure,
+    step "intersection numbers"). The closed form passes when its
+    coefficient rows P_l(v) are d+1 distinct characters of the algebra they
+    span (P_l(d) = 1, P_l(v) P_l(w) = sum_u p^u_vw P_l(u)) whose
+    multiplicities satisfy n = m_l sum_v P_l(v)^2 / k_v. Then
+    charpoly(sum_v x_v A_v) = prod_l (lambda - E_l)^{m_l} identically; see
+    _certificate_failure.
 
     Only when the certificate fails do `trials` charpoly trials, seeded by
     `seed`, look for witnesses: each substitutes pseudo-random integers in
@@ -388,8 +386,8 @@ def verify_sdm_spectrum(
         raise ValueError(f"need trials >= 1, got {trials}")
     matrix = sdm.build(s, r, max_size=max_size)
     forms = spectrum.distinct_eigenvalues(s, r)
-    p, detail = _read_intersection_numbers(matrix.levels, matrix.min_level)
-    failed = ("intersection numbers", detail) if p is None else _certificate_failure(p, forms)
+    p = _intersection_numbers(s, r)
+    failed = _tie_failure(matrix.levels, p) or _certificate_failure(p, forms)
     failures = []
     if failed is not None:
         rng = random.Random(f"{seed}:{s}:{r}")

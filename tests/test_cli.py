@@ -408,6 +408,30 @@ def test_gram_partition_det_k2000_exits_on_the_digit_cap_promptly():
     assert proc.stderr.startswith("error: ") and "exceeds cap" in proc.stderr
 
 
+@pytest.mark.parametrize("extra", [[], ["--det"]], ids=["report", "det"])
+def test_gram_partition_report_cap_exits_before_stirling2(extra):
+    # S(3000, b) for b = 2000..3000 would take minutes by inclusion-exclusion;
+    # the report's coefficients, sum_r (min(s,r)+1)(r+1), are counted first
+    src = str(Path(diagram_spectra.__file__).parents[1])
+    argv = ["partition", "--k", "3000", "--s", "2000", *extra]
+    code = f"import sys; from diagram_spectra.cli import gram_main; sys.exit(gram_main({argv!r}))"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == EXIT_CAP
+    assert "Traceback" not in proc.stderr
+    cap = gram_partition.MAX_REPORT_COEFFS
+    assert proc.stderr == (
+        f"error: gram partition report coefficients: size 334835501 exceeds cap {cap}\n"
+    )
+
+
 def test_gram_partition_roots_many_points_no_traceback():
     # read off the linear factors of the E_{r,l}, whose trailing
     # coefficients reach 111 bits, with no search for roots

@@ -239,3 +239,31 @@ def test_json_dict_with_matrix():
     assert d["matrix"]["n"] == 3
     assert d["matrix"]["entries"][1][1] == ["0", "1"]
     assert d["matrix"]["diagrams"][0] == "{1,2}*"
+
+
+def test_report_cap_counts_the_emitted_coefficients():
+    # the closed-form count against the coefficients to_json_dict emits
+    for k in range(1, 10):
+        for s in range(k + 1):
+            data = to_json_dict(k, s)
+            emitted = sum(len(e["poly"]) for b in data["blocks"] for e in b["eigen"])
+            assert sum(gram_partition.family_sums(s, k - s)) == emitted, (k, s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k, s: gram_partition.gram_side(k, s),
+        to_json_dict,
+        enumerate_half_diagrams,
+        semisimple_exceptions,
+    ],
+    ids=["gram_side", "to_json_dict", "enumerate", "semisimple_exceptions"],
+)
+def test_report_cap_runs_before_stirling2(monkeypatch, call):
+    def refuse(*args):
+        raise AssertionError("no stirling2 past the report cap")
+
+    monkeypatch.setattr(gram_partition, "stirling2", refuse)
+    with pytest.raises(SizeCapExceeded, match="gram partition report coefficients"):
+        call(3000, 2000)

@@ -1,5 +1,6 @@
 import collections
 import functools
+import itertools
 import json
 import os
 import random
@@ -17,7 +18,7 @@ from diagram_spectra.oracle import (
     _MERSENNE_EXPONENTS,
     _certificate_failure,
     _intersection_numbers,
-    _read_intersection_numbers,
+    _tie_failure,
     charpoly,
     congruence_entry,
     det_by_minors,
@@ -290,19 +291,13 @@ def _swapped(forms):
     return [replace(forms[0], multiplicity=m1), replace(forms[1], multiplicity=m0)] + forms[2:]
 
 
-def _read(matrix):
-    # the intersection numbers read off a built level matrix
-    p, detail = _read_intersection_numbers(matrix.levels, matrix.min_level)
-    assert detail is None, detail
-    return p
-
-
 @pytest.mark.parametrize("n", range(1, 13))
 def test_intersection_numbers_count_the_level_matrix(n):
-    # the counted numbers equal those read off sdm.build, for every shape
+    # every column of sdm.build counts the counted numbers, for every shape
     # with s + r = n (sides up to 924)
     for s in range(n + 1):
-        assert _intersection_numbers(s, n - s) == _read(sdm.build(s, n - s)), (s, n - s)
+        matrix = sdm.build(s, n - s)
+        assert _tie_failure(matrix.levels, _intersection_numbers(s, n - s)) is None, (s, n - s)
 
 
 def _charpoly_agrees(matrix, forms, values):
@@ -324,10 +319,10 @@ def test_certificate_agrees_with_charpoly_at_small_sides(n):
         # nonzero values, so that an x_0 coefficient that is off shows
         draws = [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(d + 1)] for _ in range(3)]
         for claim in (forms, _perturbed(forms, d, 0)):
-            certified = _certificate_failure(_read(matrix), claim) is None
+            certified = _certificate_failure(_intersection_numbers(s, n - s), claim) is None
             agrees = all(_charpoly_agrees(matrix, claim, values) for values in draws)
             assert certified == agrees, (s, n - s, claim)
-        assert _certificate_failure(_read(matrix), forms) is None
+        assert _certificate_failure(_intersection_numbers(s, n - s), forms) is None
 
 
 @pytest.mark.parametrize(
@@ -346,18 +341,36 @@ def test_certificate_rejects_mutated_closed_form(monkeypatch, mutate, step):
 
 def test_certificate_rejects_tampered_level_matrix(monkeypatch):
     # swap the levels of (1, 2) and (1, k), and of their mirror entries: the
-    # matrix stays symmetric, but column 2 no longer sees what the other
-    # columns at its level see
+    # matrix stays symmetric, but column 2 no longer counts the intersection
+    # numbers of J(7, 3)
     matrix = sdm.build(3, 4)
     rows = [list(row) for row in matrix.levels]
     k = next(c for c in range(3, matrix.n) if rows[1][c] != rows[1][2])
     rows[1][2], rows[1][k] = rows[1][k], rows[1][2]
     rows[2][1], rows[k][1] = rows[k][1], rows[2][1]
     tampered = replace(matrix, levels=tuple(map(tuple, rows)))
-    p, detail = _read_intersection_numbers(tampered.levels, 3)
-    assert p is None
-    assert "disagrees" in detail
+    # row 1 keeps its counts, since columns 2 and k are at one level in row 0
+    assert _tie_failure(tampered.levels, _intersection_numbers(3, 4)) == (
+        "intersection numbers",
+        "column 2 at level 2 does not count p^2_vw",
+    )
     monkeypatch.setattr(sdm, "build", lambda s, r, max_size: tampered)
+    report = verify_sdm_spectrum(3, 4, trials=1)
+    assert not report.passed
+    assert [f["trial"] for f in report.failures] == [0]
+
+
+def test_certificate_rejects_relabelled_levels(monkeypatch):
+    # levels 0 and 1 swapped everywhere: the columns still agree with each
+    # other, as the relabelled numbers show, but they do not count J(7, 3)
+    swap = [1, 0, 2, 3]
+    matrix = sdm.build(3, 4)
+    swapped = replace(matrix, levels=tuple(tuple(swap[v] for v in row) for row in matrix.levels))
+    p = _intersection_numbers(3, 4)
+    relabelled = [[[p[swap[u]][swap[v]][swap[w]] for w in range(4)] for v in range(4)] for u in range(4)]
+    assert _tie_failure(swapped.levels, relabelled) is None
+    assert _tie_failure(swapped.levels, p)[0] == "intersection numbers"
+    monkeypatch.setattr(sdm, "build", lambda s, r, max_size: swapped)
     assert not verify_sdm_spectrum(3, 4, trials=1).passed
 
 
@@ -504,7 +517,6 @@ def test_verify_gram_det_pass_path_runs_no_det_poly(no_det_poly, monkeypatch):
         raise AssertionError("the certificate must not build or enumerate")
 
     monkeypatch.setattr(gram_partition, "build_gram", refuse)
-    monkeypatch.setattr(gram_partition, "join_masks", refuse)
     monkeypatch.setattr(sdm, "build", refuse)
     monkeypatch.setattr(combinat, "set_partitions", refuse)
     monkeypatch.setattr(gram_partition, "set_partitions", refuse)
@@ -559,21 +571,53 @@ def test_verify_gram_det_z_nnz_counts_z(k):
         assert verify_gram_det(k, s).extra["z_nnz"] == len(nonzero), (k, s)
 
 
+def _join(labels_p, labels_q):
+    # the join of two partitions given by their block labels, as a
+    # union-find over the points: its number of blocks, and the join block,
+    # named by a point, of each block of p and of each block of q
+    parent = list(range(len(labels_p)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for labels in (labels_p, labels_q):
+        first = {}
+        for x, lab in enumerate(labels):
+            parent[find(x)] = find(first.setdefault(lab, x))
+    roots = [find(x) for x in range(len(parent))]
+    return len(set(roots)), dict(zip(labels_p, roots)), dict(zip(labels_q, roots))
+
+
 def _cell_failure(g):
     """The first cell of g that differs from the same cell of Z^T D Z, read
-    on its join type from join_masks, as a JSON-ready dict, or None."""
+    on its join type, as a JSON-ready dict, or None. Each pair of runs of
+    rows that share a partition, p's at or before q's, gets its join from
+    _join, and each row the set of join blocks its through blocks land on."""
     entry = functools.cache(lambda c, o: congruence_entry(g.s, c, o))
-    for c, masks_p, masks_q in gram_partition.join_masks(g.diagrams):
-        for i, mask in masks_p:
-            for j, other in masks_q:
-                if mask.bit_count() == g.s == other.bit_count():
-                    want = entry(c, (mask & other).bit_count())
-                else:
-                    want = ZERO
-                for row, col in ((i, j), (j, i)):
-                    if g.entries[row][col] != want:
-                        got = g.entries[row][col].to_json()
-                        return {"row": row, "column": col, "expected": want.to_json(), "got": got}
+    runs = [
+        (p.block_assignment, list(rows))
+        for p, rows in itertools.groupby(range(g.n), key=lambda i: g.diagrams[i].partition)
+    ]
+    for a, (labels_p, rows_p) in enumerate(runs):
+        for labels_q, rows_q in runs[a:]:
+            c, land_p, land_q = _join(labels_p, labels_q)
+            landed_q = [
+                (j, {land_q[t - 1] for t in g.diagrams[j].through_blocks.elements})
+                for j in rows_q
+            ]
+            for i in rows_p:
+                landed = {land_p[t - 1] for t in g.diagrams[i].through_blocks.elements}
+                for j, other in landed_q:
+                    if len(landed) == g.s == len(other):
+                        want = entry(c, len(landed & other))
+                    else:
+                        want = ZERO
+                    for row, col in ((i, j), (j, i)):
+                        if g.entries[row][col] != want:
+                            got = g.entries[row][col].to_json()
+                            return {"row": row, "column": col, "expected": want.to_json(), "got": got}
     return None
 
 
@@ -726,7 +770,6 @@ def test_verify_gram_det_work_cap(monkeypatch, s):
         raise AssertionError("nothing may run past the work cap")
 
     monkeypatch.setattr(gram_partition, "build_gram", refuse)
-    monkeypatch.setattr(gram_partition, "join_masks", refuse)
     monkeypatch.setattr(oracle, "congruence_entry", refuse)
     monkeypatch.setattr(oracle, "_intersection_numbers", refuse)
     monkeypatch.setattr(sdm, "build", refuse)
