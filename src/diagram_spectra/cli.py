@@ -102,7 +102,8 @@ def _sdm_build(args: argparse.Namespace) -> Result:
     m = sdm.build(args.s, args.r, max_size=args.max_size)
 
     def table() -> str:
-        rows = [[f"x{v}" for v in row] for row in m.levels]
+        name = m.level_names().__getitem__
+        rows = [list(map(name, row)) for row in m.levels]
         return _table([f"c{j}" for j in range(m.n)], rows)
 
     return EXIT_OK, m.to_json_dict(), m.to_csv, table

@@ -297,8 +297,7 @@ def _tie_failure(levels: Sequence, p: Sequence) -> tuple[str, str] | None:
     d = len(p) - 1
     row0 = levels[0]
     # the columns z in order of their level in row 0, so that the z at
-    # level v form one span; levels are at most d, far below 256 at any
-    # buildable side, so a row fits bytes
+    # level v form one span
     order = sorted(range(len(row0)), key=row0.__getitem__)
     ends = list(itertools.accumulate(row0.count(v) for v in range(d + 1)))
     spans = list(zip([0] + ends, ends))

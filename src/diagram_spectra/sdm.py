@@ -26,6 +26,10 @@ subtraction, and its bytes are the row's levels. Every level lies in
 [0, min(s,r)], and min(s,r) <= 255 at any side that fits in memory, so each
 byte of the result is exact even where a partial sum carried.
 
+Each row is kept as those bytes, one byte per cell: indexing a row or
+iterating over it gives ints, and a row is immutable and hashable like a
+tuple, at an eighth of the memory of a tuple's pointers.
+
 Rows and columns follow k_subsets(s+r, s), i.e. lexicographic order of the
 through-position sets. Any fixed order would do mathematically; this one is
 documented so that emitted matrices are reproducible byte for byte.
@@ -40,10 +44,11 @@ from typing import Sequence, TypeVar
 from .combinat import binomial, k_subsets
 from .errors import SizeCapExceeded
 
-# a side of 4000 is 16 M cells; memory grows as the side squared, one 8-byte
-# pointer per cell, since every level is a cached small int (build(7, 7), side
-# 3432, peaks at about 106 MB of which 16 MB is the interpreter), and the
-# largest side built in practice is 3003
+# a side of 4000 is 16 M cells; memory grows as the side squared, one byte
+# per cell here, but `substitute` and the CLI's JSON rows take an 8-byte
+# pointer per cell, so the cap stays where those fit (build(7, 7), side 3432,
+# peaks at about 27 MB of which 16 MB is the interpreter), and the largest
+# side built in practice is 3003
 DEFAULT_MAX_SIZE = 4000
 
 T = TypeVar("T")
@@ -51,12 +56,13 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class EntryMatrix:
-    """Level matrix of A^{s+r,s}; levels[i][j] = v means entry x_v."""
+    """Level matrix of A^{s+r,s}; levels[i][j] = v means entry x_v, and each
+    row is bytes, one byte per cell."""
 
     s: int
     r: int
     n: int
-    levels: tuple[tuple[int, ...], ...]
+    levels: tuple[bytes, ...]
 
     @property
     def min_level(self) -> int:
@@ -70,8 +76,13 @@ class EntryMatrix:
             "levels": [list(row) for row in self.levels],
         }
 
+    def level_names(self) -> list[str]:
+        """The symbol of each level, names[v] = "xv"."""
+        return [f"x{v}" for v in range(self.min_level + 1)]
+
     def to_csv(self) -> str:
-        lines = [",".join(f"x{v}" for v in row) for row in self.levels]
+        name = self.level_names().__getitem__
+        lines = [",".join(map(name, row)) for row in self.levels]
         return "\n".join(lines) + "\n"
 
 
@@ -96,7 +107,7 @@ def build(s: int, r: int, max_size: int = DEFAULT_MAX_SIZE) -> EntryMatrix:
     # are exact and the final bytes are levels, so nothing is lost
     bias = (s - min(s, r)) * int.from_bytes(b"\x01" * n, "little")
     rows = tuple(
-        tuple((sum([packed[e - 1] for e in t.elements]) - bias).to_bytes(n, "little"))
+        (sum([packed[e - 1] for e in t.elements]) - bias).to_bytes(n, "little")
         for t in through
     )
     return EntryMatrix(s=s, r=r, n=n, levels=rows)

@@ -7,6 +7,7 @@ entry rule, which pins the matrix itself, not just its multiset of entries.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -66,7 +67,7 @@ GOLDEN_5_3 = [
 
 
 def test_build_1_1_golden():
-    assert build(1, 1).levels == ((1, 0), (0, 1))
+    assert build(1, 1).levels == (bytes([1, 0]), bytes([0, 1]))
 
 
 def test_build_1_2_golden():
@@ -118,11 +119,10 @@ def test_entry_rule(s, r):
     throughs = [set(Subset(t).elements) for t in itertools.combinations(range(1, s + r + 1), s)]
     levels = build(s, r).levels
     assert levels == tuple(
-        tuple(min(s, r) - s + len(ti & tj) for tj in throughs) for ti in throughs
+        bytes(min(s, r) - s + len(ti & tj) for tj in throughs) for ti in throughs
     )
     assert type(levels) is tuple
-    assert all(type(row) is tuple for row in levels)
-    assert all(type(v) is int for row in levels for v in row)
+    assert all(type(row) is bytes for row in levels)
 
 
 @pytest.mark.parametrize("s,r", [(1, 2), (2, 3), (3, 1), (2, 2), (0, 4)])
@@ -204,3 +204,23 @@ def test_json_and_csv_shapes():
     d = m.to_json_dict()
     assert d == {"s": 1, "r": 1, "n": 2, "levels": [[1, 0], [0, 1]]}
     assert m.to_csv() == "x1,x0\nx0,x1\n"
+
+
+@pytest.mark.parametrize("s,r", [(s, m - s) for m in range(1, 11) for s in range(m + 1)])
+def test_csv_matches_per_cell_names(s, r):
+    m = build(s, r)
+    want = "".join(",".join(f"x{v}" for v in row) + "\n" for row in m.levels)
+    assert m.to_csv() == want
+
+
+def test_build_memory_is_about_a_byte_per_cell():
+    # side 3003, 9 018 009 cells; a tuple row would take an 8-byte pointer
+    # per cell, a bytes row takes one byte
+    tracemalloc.start()
+    try:
+        m = build(6, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.n == 3003
+    assert peak < 2 * m.n * m.n, peak / (m.n * m.n)
