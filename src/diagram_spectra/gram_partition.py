@@ -11,11 +11,18 @@ classes of each side land on s distinct join blocks, the same s for both
 sides, the entry is x^(c-s): every other join block collapses to a loop worth
 a factor of x. Otherwise the propagating number of the product has dropped
 and the entry is 0. The entry depends on the two partitions only through
-their join, so build_gram forms one join per pair of partitions, as a
-union-find over their blocks, and turns each row's through choice into a
-mask of the join blocks it lands on. It files q's rows by mask, keeping the
-masks of s bits, and each of p's rows looks its own mask up: the hits are
-exactly the nonzero cells, so no pair of rows is compared.
+their join, and build_gram forms each join by one merge, memoized, from an
+earlier one. Every row partition q but the finest has a parent with one
+more block, q with y split off, where y is q's last point that shares a
+block with an earlier one; the parent is again a row partition, and q is
+the parent with the blocks of y and of x, the first point of y's block,
+merged. The join is associative, so p v q is p v parent(q) with x and y
+merged, and p v finest is p: walking the partitions finest first, most
+merges repeat (the join lattice of Lindstrom and Rota). Each row's through
+choice becomes the mask of the join blocks it lands on. The rows of a
+partition are grouped by mask once per join, keeping the masks of s bits,
+and equal masks on the two sides are exactly the nonzero cells, so no pair
+of rows is compared.
 
 Paired row and column operations reduce G_s to a block-diagonal matrix with
 stirling2(k,s+r) identical blocks for each r, and each block is a symmetric
@@ -111,6 +118,9 @@ class HalfDiagram:
 # (240, 0) 29 161 and (3000, 2000) 334 835 501
 MAX_REPORT_COEFFS = 300_000
 
+# build_gram's join walk, runs^2 * k: (40, 39) counts 24.4 M, (76, 75) 618 M
+MAX_JOIN_WORK = 50_000_000
+
 
 def family_sums(s: int, top: int) -> tuple[int, int]:
     """sum_{r=0}^{top} (min(s,r)+1) r^e for e = 0 and 1, in closed form: the
@@ -178,64 +188,104 @@ def gram_side(k: int, s: int, max_size: float = DEFAULT_MAX_SIZE) -> int:
 
 
 def build_gram(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> GramMatrix:
-    """G_s on k points, in the row order of enumerate_half_diagrams. The cap
-    is checked on the side before anything is enumerated."""
+    """G_s on k points, in the row order of enumerate_half_diagrams. The side
+    and the join work, runs^2 * k with one run per row partition, are capped
+    before anything is enumerated. A partition gets an id on first sight, the
+    runs' first, in row order; -1 stands for a join of fewer than s blocks,
+    which has no nonzero cell, and neither has any coarser one."""
     n = gram_side(k, s, max_size)
+    work = sum(stirling2(k, b) for b in range(max(s, 1), k + 1)) ** 2 * k
+    if work > MAX_JOIN_WORK:
+        raise SizeCapExceeded(f"join work of G_{s} on {k} points", work, MAX_JOIN_WORK)
     diagrams = enumerate_half_diagrams(k, s)
     # a join has at most k blocks, so an entry is x^m with m <= k - s
     powers = [X.pow(m) for m in range(k - s + 1)]
     rows = [[ZERO] * n for _ in range(n)]
-    # per run of rows that share a partition: its labels, its block count,
-    # and each row's through blocks as 0-based block indices
-    runs = [
-        (
-            p.block_assignment,
-            p.block_count,
-            [(i, [t - 1 for t in d.through_blocks.elements]) for i, d in run],
-        )
-        for p, run in itertools.groupby(enumerate(diagrams), key=lambda e: e[1].partition)
-    ]
-    # each pair of runs once, p's at or before q's: every cell (i, j) is
-    # written with its mirror (j, i)
-    for a, (labels_p, bp, thr_p) in enumerate(runs):
-        for labels_q, bq, thr_q in runs[a:]:
-            # the join as a union-find over the blocks of p and then of q;
-            # each point ties its block in p to its block in q
-            parent = list(range(bp + bq))
-            c = len(parent)
-            for x, y in zip(labels_p, labels_q):
-                y += bp
-                while parent[x] != x:
-                    x = parent[x]
-                while parent[y] != y:
-                    y = parent[y]
-                if x != y:
-                    parent[y] = x
-                    c -= 1
-            # bits[b] is the join block of block b as a one-bit mask; a row's
-            # mask has s bits only when it lands on s distinct join blocks
-            bits = []
-            for x in parent:
-                while parent[x] != x:
-                    x = parent[x]
-                bits.append(1 << x)
-            bits_q = bits[bp:]
-            # the q rows by mask, kept only when the mask has s bits; each p
-            # row then finds its nonzero cells in one lookup
-            by_mask: dict[int, list[int]] = {}
-            for j, thr in thr_q:
-                mask = sum(map(bits_q.__getitem__, thr))
+    parts: list[tuple[int, ...]] = []  # partitions by id
+    runs = []  # per run: each block's first point, each row's through blocks
+    steps = []  # per run: its parent and the points x, y merged
+    for p, run in itertools.groupby(enumerate(diagrams), key=lambda e: e[1].partition):
+        labels = p.block_assignment
+        tops = list(itertools.accumulate(labels, max, initial=-1))
+        firsts = [j for j in range(k) if labels[j] > tops[j]]
+        parts.append(labels)
+        runs.append((firsts, [(i, [t - 1 for t in d.through_blocks.elements]) for i, d in run]))
+        if len(firsts) < k:
+            # the parent splits off y, the last point that shares a block
+            # with an earlier one; every point after y opens a block
+            y = max(j for j in range(k) if labels[j] <= tops[j])
+            up = labels[:y] + tuple(range(tops[y] + 1, tops[y] + 1 + k - y))
+            steps.append((up, firsts[labels[y]], y))
+    ids = {labels: i for i, labels in enumerate(parts)}
+    blocks = [len(firsts) for firsts, _ in runs]
+    R = len(runs)
+    # a v finest is a: the finest run, last, has the slot join[R], which
+    # holds a, as its parent, and merging 0 with 0 changes nothing
+    steps = [(ids[up], x, y) for up, x, y in steps] + [(R, 0, 0)]
+    memo: dict[int, int] = {}
+
+    def merge(j: int, x: int, y: int) -> int:
+        """The id of partition j with the blocks of x and y merged, or -1
+        when fewer than s blocks would remain."""
+        labels = parts[j]
+        lo, hi = labels[x], labels[y]
+        if lo == hi:
+            return j
+        if blocks[j] == s:
+            return -1
+        if lo > hi:
+            lo, hi = hi, lo
+        key = (j * k + x) * k + y
+        i = memo.get(key)
+        if i is None:
+            # hi's points join lo, and the labels above hi drop by one: the
+            # restricted-growth string of the merged partition
+            merged = tuple(lo if lab == hi else lab - (lab > hi) for lab in labels)
+            i = memo[key] = ids.setdefault(merged, len(parts))
+            if i == len(parts):
+                parts.append(merged)
+                blocks.append(blocks[j] - 1)
+        return i
+
+    grouped: dict[int, dict[int, list[int]]] = {}
+
+    def groups(run: int, j: int) -> dict[int, list[int]]:
+        """The rows of a run by the mask of the blocks of join j that their
+        through blocks land on, keeping the masks of s bits."""
+        key = j * R + run
+        found = grouped.get(key)
+        if found is None:
+            firsts, thrs = runs[run]
+            bits = [1 << parts[j][f] for f in firsts]
+            found = grouped[key] = {}
+            for i, thr in thrs:
+                mask = sum(map(bits.__getitem__, thr))
                 if mask.bit_count() == s:
-                    by_mask.setdefault(mask, []).append(j)
-            if not by_mask:
+                    found.setdefault(mask, []).append(i)
+        return found
+
+    join = [0] * (R + 1)
+    for a in range(R):
+        join[R] = a
+        # the runs q at or after a, finest first, so that each parent, which
+        # has one more block, comes before its children; every cell (i, j)
+        # is written with its mirror (j, i)
+        for q in range(R - 1, a - 1, -1):
+            up, x, y = steps[q]
+            j = join[q] = merge(join[up], x, y) if join[up] >= 0 else -1
+            if j < 0:
                 continue
-            power = powers[c - s]
-            for i, thr in thr_p:
-                for j in by_mask.get(sum(map(bits.__getitem__, thr)), ()):
-                    rows[i][j] = rows[j][i] = power
-    return GramMatrix(
-        k=k, s=s, diagrams=tuple(diagrams), entries=tuple(tuple(row) for row in rows)
-    )
+            power = powers[blocks[j] - s]
+            by_mask = groups(q, j)
+            for mask, rows_p in groups(a, j).items():
+                for i in rows_p:
+                    row = rows[i]
+                    for jj in by_mask.get(mask, ()):
+                        row[jj] = rows[jj][i] = power
+    # each row list is freed as soon as its tuple exists
+    for i, row in enumerate(rows):
+        rows[i] = tuple(row)
+    return GramMatrix(k=k, s=s, diagrams=tuple(diagrams), entries=tuple(rows))
 
 
 def x_substitution_poly(s: int, r: int, t: int) -> Polynomial:

@@ -432,6 +432,28 @@ def test_gram_partition_report_cap_exits_before_stirling2(extra):
     )
 
 
+def test_gram_partition_matrix_join_work_cap_exits_at_once():
+    # side 2926 passes the side cap, but 2851 runs on 76 points are past the
+    # join-work cap, which is counted before anything is enumerated
+    src = str(Path(diagram_spectra.__file__).parents[1])
+    argv = ["partition", "--k", "76", "--s", "75", "--matrix"]
+    code = f"import sys; from diagram_spectra.cli import gram_main; sys.exit(gram_main({argv!r}))"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == EXIT_CAP
+    assert "Traceback" not in proc.stderr
+    cap = gram_partition.MAX_JOIN_WORK
+    work = 2851**2 * 76
+    assert proc.stderr == f"error: join work of G_75 on 76 points: size {work} exceeds cap {cap}\n"
+
+
 def test_gram_partition_roots_many_points_no_traceback():
     # read off the linear factors of the E_{r,l}, whose trailing
     # coefficients reach 111 bits, with no search for roots

@@ -6,7 +6,8 @@ stderr must equal the line recorded in cli_golden.txt. The corpus covers the
 six subcommands in all three output formats at small parameters
 (s, r <= 4; k <= 4; --det only at k <= 3), the format environment variable,
 usage errors (exit 1) and size-cap errors (exit 2), the det degree cap at
-k = 7 among them. Digests are cut to 128 bits to keep the file small.
+k = 7 and build_gram's join-work cap at k = 76 among them. Digests are cut
+to 128 bits to keep the file small.
 
 Regenerate the file only for an intended output change, and review its diff:
 
@@ -108,6 +109,8 @@ def corpus() -> list[list[str]]:
         ["gram", "partition", "--k", "7", "--s", "0", "--det"],
     ):
         out += _with_formats(argv)
+    # side 2926 under the side cap, past build_gram's join-work cap
+    out.append(["gram", "partition", "--k", "76", "--s", "75", "--matrix", "--out", "json"])
     return out
 
 

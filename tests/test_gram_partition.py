@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from diagram_spectra import gram_partition
@@ -96,6 +98,50 @@ def test_build_gram_cap_checked_before_enumerating(monkeypatch):
     with pytest.raises(SizeCapExceeded):
         build_gram(11, 1, max_size=120)
 
+
+
+def test_build_gram_join_work_cap_checked_before_enumerating(monkeypatch):
+    # (40, 39), 781 runs, passes; (76, 75), side 2926 under the side cap,
+    # has 2851 runs and is refused before anything is enumerated
+    def refuse(n, b):
+        raise AssertionError("enumerated past the cap")
+
+    assert 781**2 * 40 <= gram_partition.MAX_JOIN_WORK < 2851**2 * 76
+    assert gram_partition.gram_side(76, 75) == 2926
+    monkeypatch.setattr(gram_partition, "set_partitions", refuse)
+    with pytest.raises(SizeCapExceeded) as refused:
+        build_gram(76, 75)
+    assert refused.value.size == 2851**2 * 76
+
+
+def test_build_gram_enumerates_only_the_row_partitions(monkeypatch):
+    # the joins are formed by merges, so the only partitions enumerated are
+    # the rows', into b >= s blocks, as enumerate_half_diagrams asks: never
+    # all Bell(20) partitions of the points
+    calls = []
+    real = gram_partition.set_partitions
+
+    def recording(n, b):
+        calls.append((n, b))
+        return real(n, b)
+
+    monkeypatch.setattr(gram_partition, "set_partitions", recording)
+    g = build_gram(20, 19)
+    assert g.n == 210
+    assert calls == [(20, 19), (20, 20)]
+
+
+def test_build_gram_memory_is_about_a_pointer_per_cell():
+    # side 856, 732 736 cells: the row lists take 8 bytes per cell, and each
+    # is freed as soon as its tuple exists, so the cells are never held twice
+    tracemalloc.start()
+    try:
+        g = build_gram(6, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == 856
+    assert peak < 13 * g.n * g.n, peak / (g.n * g.n)
 
 def test_x_substitution_poly():
     assert x_substitution_poly(1, 1, 0) == Polynomial.of([-1, 1])
