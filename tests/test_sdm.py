@@ -7,13 +7,38 @@ entry rule, which pins the matrix itself, not just its multiset of entries.
 """
 
 import itertools
+import operator
 import tracemalloc
 
 import pytest
 
-from diagram_spectra.combinat import Subset, k_subsets
+from diagram_spectra.combinat import Subset, binomial, k_subsets
 from diagram_spectra.errors import SizeCapExceeded
-from diagram_spectra.sdm import build, substitute
+from diagram_spectra.sdm import (
+    _MEMO_MIN_SIDE,
+    _block_table,
+    _memo_cost,
+    _memo_counts,
+    _memo_depth,
+    _spans,
+    build,
+    substitute,
+)
+
+# every side from 252 to 4000 with s + r <= 16, and four shapes with a small
+# s whose rows barely repeat
+SWEEP_SHAPES = [
+    (s, m - s) for m in range(1, 17) for s in range(m + 1) if 252 <= binomial(m, s) <= 4000
+] + [(1, 300), (2, 60), (2, 80), (3, 25)]
+
+
+def _cells_are_values(rows, level_rows, values):
+    """Each cell of rows is the object values[level], not an equal copy."""
+    get = values.__getitem__
+    return len(rows) == len(level_rows) and all(
+        len(row) == len(levels) and all(map(operator.is_, row, map(get, levels)))
+        for row, levels in zip(rows, level_rows)
+    )
 
 
 def _find_relabeling(got, want):
@@ -175,9 +200,28 @@ def test_substitute_polynomials():
 def test_substitute_side_1(s, r):
     # one row of one cell; the level is 0 since min(s, r) = 0
     assert substitute(build(s, r), ["x0"]) == [["x0"]]
+    x0 = object()
+    assert substitute(build(s, r), [x0])[0][0] is x0
 
 
-@pytest.mark.parametrize("s,r", [(1, 1), (2, 2), (3, 2), (2, 5)])
+# the definition test's first shapes, kept first so that their ids stay
+_FIRST_DEFINITION_SHAPES = [(1, 1), (2, 2), (3, 2), (2, 5)]
+
+
+# every s + r <= 12, (6, 6) among them, then shapes on both sides of the
+# memo's selection: (6, 6), (6, 8) and (3, 25) take the block memo, (2, 60)
+# and (1, 300) the direct lookups
+@pytest.mark.parametrize(
+    "s,r",
+    _FIRST_DEFINITION_SHAPES
+    + [
+        (s, m - s)
+        for m in range(1, 13)
+        for s in range(m + 1)
+        if (s, m - s) not in _FIRST_DEFINITION_SHAPES
+    ]
+    + [(6, 8), (3, 25), (2, 60), (1, 300)],
+)
 def test_substitute_polynomials_match_definition(s, r):
     from diagram_spectra.poly import Polynomial
 
@@ -185,7 +229,63 @@ def test_substitute_polynomials_match_definition(s, r):
     values = [Polynomial.x_minus(v) for v in range(m.min_level + 1)]
     inst = substitute(m, values)
     assert type(inst) is list and all(type(row) is list for row in inst)
-    assert inst == [[values[v] for v in row] for row in m.levels]
+    # cell (i, j) is values[levels[i][j]] itself, so inst equals
+    # [[values[v] for v in row] for row in m.levels]
+    assert _cells_are_values(inst, m.levels, values)
+    # every row is its own list: a store into one changes no other, nor
+    # the next call's matrix, since no cache lives across calls
+    assert len(set(map(id, inst))) == m.n
+    inst[0][0] = None
+    assert _cells_are_values(inst[1:], m.levels[1:], values)
+    del inst
+    assert _cells_are_values(substitute(m, values)[:1], m.levels[:1], values)
+
+
+@pytest.mark.parametrize(
+    "s,r",
+    [(s, m - s) for m in range(2, 11) for s in range(m + 1)]
+    + [(s, r) for s, r in SWEEP_SHAPES if s + r > 10],
+)
+def test_memo_counts_are_the_block_table(s, r):
+    # every depth where s + r <= 10; on the rest of the sweep the chosen
+    # depth, or 4 for a shape that stays on the direct path
+    m = build(s, r)
+    for d in range(1, s + r) if s + r <= 10 else [_memo_depth(s, r) or 4]:
+        spans = _spans(s, r, d)
+        blocks = {}
+        _block_table(m.levels, list(range(m.min_level + 1)), spans, blocks)
+        assert [stop - start for start, stop, _ in spans] == [
+            binomial(s + r - d, s - mask.bit_count()) for _, _, mask in spans
+        ]
+        assert spans[-1][1] == m.n
+        assert _memo_counts(s, r, d) == (
+            len(spans),
+            sum(map(len, blocks.values())),
+            sum(len(seg) for block in blocks.values() for seg in block),
+        ), d
+
+
+def test_memo_depth_is_the_least_predicted_cost():
+    # the search stops at the first rise in cost; the exhaustive minimum
+    # over every depth agrees, and shapes whose rows barely repeat stay on
+    # the direct path
+    for s, r in SWEEP_SHAPES + [(s, m - s) for m in range(1, 17) for s in range(m + 1)]:
+        n = binomial(s + r, s)
+        costs = {d: _memo_cost(s, r, d) for d in range(1, s + r)}
+        best = min(costs, key=costs.get, default=0)
+        want = best if n >= _MEMO_MIN_SIDE and costs[best] < 10 * n * n else 0
+        assert _memo_depth(s, r) == want, (s, r)
+    assert [_memo_depth(s, r) for s, r in [(1, 300), (2, 60), (2, 80)]] == [0, 0, 0]
+    assert all(_memo_depth(s, r) for s, r in [(6, 6), (6, 8), (7, 7), (3, 25)])
+
+
+def test_memo_min_side_skips_no_gain():
+    # below _MEMO_MIN_SIDE no shape has a depth that beats the direct path
+    for m in range(2, _MEMO_MIN_SIDE):
+        for s in range(1, m):
+            n = binomial(m, s)
+            if n < _MEMO_MIN_SIDE:
+                assert min(_memo_cost(s, m - s, d) for d in range(1, m)) >= 10 * n * n, (s, m - s)
 
 
 def test_substitute_zero_map():
@@ -224,3 +324,18 @@ def test_build_memory_is_about_a_byte_per_cell():
         tracemalloc.stop()
     assert m.n == 3003
     assert peak < 2 * m.n * m.n, peak / (m.n * m.n)
+
+
+def test_substitute_memory_is_about_a_pointer_per_cell():
+    # side 3003: each row takes an 8-byte pointer per cell, with no spare
+    # capacity, and the block memo its distinct segments on top
+    m = build(6, 8)
+    values = list(range(m.min_level + 1))
+    tracemalloc.start()
+    try:
+        inst = substitute(m, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(inst) == m.n
+    assert peak < 9 * m.n * m.n, peak / (m.n * m.n)
