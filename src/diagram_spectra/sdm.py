@@ -41,13 +41,13 @@ prefix set P is, up to the shift |R cap P| of its levels, the overlap matrix
 of the (s-|R|)- and (s-|P|)-subsets of the other s+r-d points, so it depends
 only on (|R|, |P|, |R cap P|): the paper's induction on this block structure.
 `substitute` therefore looks up each such block once and builds every row
-from copies of its segments, at a prefix depth d chosen from (s, r) by a
-cost model whose counts are exact.
+from copies of its segments, at the prefix depth d whose span count is
+nearest sqrt(n), so that a row is about sqrt(n) segments of about sqrt(n)
+cells.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
@@ -58,27 +58,15 @@ from .errors import SizeCapExceeded
 
 # a side of 4000 is 16 M cells; memory grows as the side squared, one byte
 # per cell here, but the CLI's JSON rows take an 8-byte pointer per cell, and
-# `substitute` 8 bytes per cell plus its memo's distinct segments (about 0.4
+# `substitute` 8 bytes per cell plus its memo's distinct segments (about 0.2
 # byte per cell at side 3003), so the cap stays where those fit
 # (build(7, 7), side 3432, peaks at about 27 MB of which 16 MB is the
 # interpreter), and the largest side built in practice is 3003
 DEFAULT_MAX_SIZE = 4000
 
-# the memo path's costs, in tenths of one cell of the direct path (an
-# itemgetter lookup and its copy into a row list, about 30 ns on a 2-core
-# x86 host under Python 3.11). Phase timings of 12 shapes from (5, 5) to
-# (1, 300) at d = 1..11 put filling the rows at 2.5-7 per cell plus 20-40
-# per segment (a loop step and a slice store); a visit to a (row span,
-# column span) block at 50-110 once there are 32 spans or more; building a
-# distinct segment at 220 plus 11 per cell; and the depth search and span
-# list at about 100 us a call. At each of those shapes' chosen depths the
-# predicted total is above the measured one or within 3 % below it, and
-# shapes near break even, such as (5, 5) and (2, 60), stay on the direct path
-_COPY, _SEGMENT, _VISIT = 4, 40, 100
-_NEW_SEGMENT, _NEW_CELL, _CALL = 220, 11, 30_000
-# no shape of a smaller side has a predicted gain at any depth (the tests
-# check each one), and there the search itself would cost up to a few times
-# the direct lookups
+# below this side the block memo gains little or nothing: timed against the
+# direct lookups at d = 1..7 on a 2-core host, it took at best 1.01 of their
+# time at (5, 5), side 252, and 0.96 at (3, 10), side 286
 _MEMO_MIN_SIDE = 300
 
 T = TypeVar("T")
@@ -146,21 +134,20 @@ def build(s: int, r: int, max_size: int = DEFAULT_MAX_SIZE) -> EntryMatrix:
 def substitute(m: EntryMatrix, values: Sequence[T]) -> list[list[T]]:
     """Replace each level v by values[v]; values must cover 0..min(s,r).
 
-    Each row is a fresh list and each cell the object values[v]. Where the
-    cost model finds a prefix depth d that beats n^2 lookups, each distinct
-    block of the depth-d spans is looked up once per call, in a table that
-    lives for the call only, and every row is filled with copies of its
-    blocks' segments; else each cell is looked up directly."""
+    Each row is a fresh list and each cell the object values[v]. Where
+    _memo_depth picks a prefix depth d, each distinct block of the depth-d
+    spans is looked up once per call, in a table that lives for the call
+    only, and every row is filled with copies of its blocks' segments; else
+    each cell is looked up directly."""
     if len(values) != m.min_level + 1:
         raise ValueError(
             f"expected {m.min_level + 1} values (levels 0..{m.min_level}), got {len(values)}"
         )
-    d = _memo_depth(m.s, m.r)
+    d, spans = _memo_depth(m.s, m.r)
     if d:
-        spans = _spans(m.s, m.r, d)
         slices = [slice(c0, c1) for c0, c1, _ in spans]
         rows = []
-        for parts in _block_table(m.levels, values, spans, {}):
+        for parts in _block_table(m.levels, values, spans):
             for segments in zip(*parts):
                 # allocated at full length and filled by slice, a row holds
                 # no spare capacity
@@ -175,52 +162,23 @@ def substitute(m: EntryMatrix, values: Sequence[T]) -> list[list[T]]:
     return [list(itemgetter(*row)(values)) for row in m.levels]
 
 
-def _memo_counts(s: int, r: int, d: int) -> tuple[int, int, int]:
-    """(spans, distinct segments, cells) of the block memo at prefix depth d:
-    a block keyed (|R|, |P|, q) has C(m, s-|R|) rows of C(m, s-|P|) cells,
-    m = s+r-d, and q runs over max(0, |R|+|P|-d)..min(|R|, |P|)."""
-    m = s + r - d
-    sizes = range(max(0, s - m), min(d, s) + 1)
-    lengths = [binomial(m, s - a) for a in sizes]
-    spans = sum(binomial(d, a) for a in sizes)
-    segments = cells = 0
-    for a, rows in zip(sizes, lengths):
-        for p, cols in zip(sizes, lengths):
-            keys = min(a, p) - max(0, a + p - d) + 1
-            segments += keys * rows
-            cells += keys * rows * cols
-    return spans, segments, cells
-
-
-def _memo_cost(s: int, r: int, d: int) -> int:
-    """Predicted cost of the memo path at prefix depth d, in tenths of a
-    direct cell (see _COPY); the direct path costs 10 n^2."""
+def _memo_depth(s: int, r: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """The prefix depth whose span count is nearest sqrt(n) by ratio, and its
+    spans, or (0, []) for the direct path. That path is kept below
+    _MEMO_MIN_SIDE and where min(s, r) <= 2: there, at any depth the
+    segments allow, the block of the rows and columns that avoid the whole
+    prefix (or hold it, when r <= 2) keeps most of the n^2 cells, and a block
+    is looked up cell by cell before its rows are copied. At (2, 60) that
+    one block holds 53 % of the cells."""
     n = binomial(s + r, s)
-    spans, segments, cells = _memo_counts(s, r, d)
-    return (
-        (_COPY * n + _SEGMENT * spans) * n
-        + _VISIT * spans * spans
-        + _NEW_SEGMENT * segments
-        + _NEW_CELL * cells
-        + _CALL
-    )
-
-
-def _memo_depth(s: int, r: int) -> int:
-    """The prefix depth of least predicted cost, or 0 where none beats the
-    direct path."""
-    n = binomial(s + r, s)
-    if n < _MEMO_MIN_SIDE:
-        return 0
-    depth, least = 0, math.inf
-    for d in range(1, s + r):
-        cost = _memo_cost(s, r, d)
-        # the misses fall and the spans grow with d, so the cost falls to
-        # one minimum and then rises (the tests check every depth)
-        if cost >= least:
-            break
-        depth, least = d, cost
-    return depth if least < 10 * n * n else 0
+    if n < _MEMO_MIN_SIDE or min(s, r) <= 2:
+        return 0, []
+    # depth 0 is one span of n columns, and at d = s + r - 1 every span is
+    # one column, so the loop ends there at the latest
+    d, last, spans = 0, [], [(0, n, 0)]
+    while len(spans) ** 2 < n:
+        d, last, spans = d + 1, spans, _spans(s, r, d + 1)
+    return (d - 1, last) if len(last) * len(spans) > n else (d, spans)
 
 
 def _spans(s: int, r: int, d: int) -> list[tuple[int, int, int]]:
@@ -248,11 +206,11 @@ def _block_table(
     levels: Sequence[bytes],
     values: Sequence[T],
     spans: list[tuple[int, int, int]],
-    blocks: dict[tuple[int, int, int], list[list[T]]],
 ) -> list[list[list[list[T]]]]:
     """For each row span, its blocks in column order, each block a list of
-    row segments; blocks, keyed (|R|, |P|, |R cap P|), fills in as blocks
-    are first met."""
+    row segments; a block is looked up once, when its key (|R|, |P|,
+    |R cap P|) is first met."""
+    blocks: dict[tuple[int, int, int], list[list[T]]] = {}
     table = []
     for r0, r1, rmask in spans:
         a = rmask.bit_count()

@@ -14,22 +14,26 @@ import pytest
 
 from diagram_spectra.combinat import Subset, binomial, k_subsets
 from diagram_spectra.errors import SizeCapExceeded
-from diagram_spectra.sdm import (
-    _MEMO_MIN_SIDE,
-    _block_table,
-    _memo_cost,
-    _memo_counts,
-    _memo_depth,
-    _spans,
-    build,
-    substitute,
-)
+from diagram_spectra.sdm import _block_table, _memo_depth, _spans, build, substitute
 
 # every side from 252 to 4000 with s + r <= 16, and four shapes with a small
 # s whose rows barely repeat
 SWEEP_SHAPES = [
     (s, m - s) for m in range(1, 17) for s in range(m + 1) if 252 <= binomial(m, s) <= 4000
 ] + [(1, 300), (2, 60), (2, 80), (3, 25)]
+
+
+def _shapes_of_side(lo, hi):
+    """Every (s, r) with s, r >= 1 and lo <= C(s+r, s) <= hi."""
+    shapes = []
+    for s in itertools.count(1):
+        if s + 1 > hi:
+            return shapes
+        r = 1
+        while binomial(s + r, s) <= hi:
+            if binomial(s + r, s) >= lo:
+                shapes.append((s, r))
+            r += 1
 
 
 def _cells_are_values(rows, level_rows, values):
@@ -247,45 +251,39 @@ def test_substitute_polynomials_match_definition(s, r):
     + [(s, r) for s, r in SWEEP_SHAPES if s + r > 10],
 )
 def test_memo_counts_are_the_block_table(s, r):
-    # every depth where s + r <= 10; on the rest of the sweep the chosen
-    # depth, or 4 for a shape that stays on the direct path
+    # the spans tile the columns with the counted lengths, and the block
+    # table tiles the matrix with blocks of those shapes; every depth where
+    # s + r <= 10, and on the rest of the sweep the chosen depth, or 4 for a
+    # shape that stays on the direct path
     m = build(s, r)
-    for d in range(1, s + r) if s + r <= 10 else [_memo_depth(s, r) or 4]:
+    for d in range(1, s + r) if s + r <= 10 else [_memo_depth(s, r)[0] or 4]:
         spans = _spans(s, r, d)
-        blocks = {}
-        _block_table(m.levels, list(range(m.min_level + 1)), spans, blocks)
-        assert [stop - start for start, stop, _ in spans] == [
-            binomial(s + r - d, s - mask.bit_count()) for _, _, mask in spans
-        ]
+        lengths = [stop - start for start, stop, _ in spans]
+        assert lengths == [binomial(s + r - d, s - mask.bit_count()) for _, _, mask in spans]
+        assert [start for start, _, _ in spans] == [0] + [stop for _, stop, _ in spans[:-1]]
         assert spans[-1][1] == m.n
-        assert _memo_counts(s, r, d) == (
-            len(spans),
-            sum(map(len, blocks.values())),
-            sum(len(seg) for block in blocks.values() for seg in block),
-        ), d
+        table = _block_table(m.levels, list(range(m.min_level + 1)), spans)
+        for rows, parts in zip(lengths, table):
+            assert [len(block) for block in parts] == [rows] * len(spans), d
+            assert [len(block[0]) for block in parts] == lengths, d
 
 
-def test_memo_depth_is_the_least_predicted_cost():
-    # the search stops at the first rise in cost; the exhaustive minimum
-    # over every depth agrees, and shapes whose rows barely repeat stay on
-    # the direct path
-    for s, r in SWEEP_SHAPES + [(s, m - s) for m in range(1, 17) for s in range(m + 1)]:
+def test_memo_depth_is_the_span_count_nearest_sqrt_n():
+    def depth(s, r):
+        return _memo_depth(s, r)[0]
+
+    assert [depth(s, r) for s, r in [(6, 6), (6, 8), (7, 7), (3, 25)]] == [5, 6, 6, 7]
+    # under the side floor, or min(s, r) <= 2: the direct path
+    assert [depth(s, r) for s, r in [(1, 300), (2, 60), (2, 80), (5, 5), (1, 1)]] == [0] * 5
+    for s, r in _shapes_of_side(300, 4000):
+        d, spans = _memo_depth(s, r)
+        if min(s, r) <= 2:
+            assert (d, spans) == (0, []), (s, r)
+            continue
         n = binomial(s + r, s)
-        costs = {d: _memo_cost(s, r, d) for d in range(1, s + r)}
-        best = min(costs, key=costs.get, default=0)
-        want = best if n >= _MEMO_MIN_SIDE and costs[best] < 10 * n * n else 0
-        assert _memo_depth(s, r) == want, (s, r)
-    assert [_memo_depth(s, r) for s, r in [(1, 300), (2, 60), (2, 80)]] == [0, 0, 0]
-    assert all(_memo_depth(s, r) for s, r in [(6, 6), (6, 8), (7, 7), (3, 25)])
-
-
-def test_memo_min_side_skips_no_gain():
-    # below _MEMO_MIN_SIDE no shape has a depth that beats the direct path
-    for m in range(2, _MEMO_MIN_SIDE):
-        for s in range(1, m):
-            n = binomial(m, s)
-            if n < _MEMO_MIN_SIDE:
-                assert min(_memo_cost(s, m - s, d) for d in range(1, m)) >= 10 * n * n, (s, m - s)
+        count = [len(_spans(s, r, e)) for e in (d - 1, d, d + 1)]
+        assert count[0] * count[1] <= n <= count[1] * count[2], (s, r)
+        assert spans == _spans(s, r, d), (s, r)
 
 
 def test_substitute_zero_map():
@@ -326,10 +324,15 @@ def test_build_memory_is_about_a_byte_per_cell():
     assert peak < 2 * m.n * m.n, peak / (m.n * m.n)
 
 
-def test_substitute_memory_is_about_a_pointer_per_cell():
-    # side 3003: each row takes an 8-byte pointer per cell, with no spare
-    # capacity, and the block memo its distinct segments on top
-    m = build(6, 8)
+# bytes per cell: at sides 3003 and 3276 each row takes an 8-byte pointer per
+# cell, with no spare capacity, and the block memo its distinct segments on
+# top; rows repeat less at (3, 25), so its memo is larger
+_SUBSTITUTE_PEAK = {(6, 8): 9, (3, 25): 10.5}
+
+
+@pytest.mark.parametrize("s,r", list(_SUBSTITUTE_PEAK))
+def test_substitute_memory_is_about_a_pointer_per_cell(s, r):
+    m = build(s, r)
     values = list(range(m.min_level + 1))
     tracemalloc.start()
     try:
@@ -338,4 +341,4 @@ def test_substitute_memory_is_about_a_pointer_per_cell():
     finally:
         tracemalloc.stop()
     assert len(inst) == m.n
-    assert peak < 9 * m.n * m.n, peak / (m.n * m.n)
+    assert peak < _SUBSTITUTE_PEAK[s, r] * m.n * m.n, peak / (m.n * m.n)
