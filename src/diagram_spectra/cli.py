@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage or range error, 2 size cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,6 @@ from typing import Callable, Sequence
 
 from . import gram_partition, gram_signed_z2, oracle, sdm, spectrum
 from .errors import SizeCapExceeded
-from .poly import Polynomial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,8 +34,9 @@ EXIT_VERIFY = 3
 FORMATS = ("json", "csv", "pretty-table")
 FORMAT_ENV_VAR = "DIAGRAM_SPECTRA_FORMAT"
 
-# a handler's exit code, JSON object, and csv and pretty-table renderers
-Result = tuple[int, object, Callable[[], str], Callable[[], str]]
+# a handler's exit code and its renderers: the JSON object, the csv text
+# and the pretty-table text
+Result = tuple[int, Callable[[], object], Callable[[], str], Callable[[], str]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,24 +67,15 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _emit(fmt: str, data: object, csv: Callable[[], str], table: Callable[[], str]) -> None:
-    """Write one result: data as JSON, or the text of the csv or table
+def _emit(
+    fmt: str, data: Callable[[], object], csv: Callable[[], str], table: Callable[[], str]
+) -> None:
+    """Write one result: data() as JSON, or the text of the csv or table
     renderer. Only the renderer of the chosen format runs."""
     if fmt == "json":
-        sys.stdout.write(json.dumps(data, indent=2) + "\n")
+        sys.stdout.write(json.dumps(data(), indent=2) + "\n")
     else:
         sys.stdout.write((csv if fmt == "csv" else table)())
-
-
-def _poly(coeffs: list[str]) -> Polynomial:
-    """A polynomial back from its JSON form."""
-    return Polynomial.of(int(c) for c in coeffs)
-
-
-def _monomial(coeffs: list[str]) -> str:
-    """A Gram entry, which is 0 or x^m, from its JSON form."""
-    d = len(coeffs) - 1
-    return "0" if d < 0 else "1" if d == 0 else "x" if d == 1 else f"x^{d}"
 
 
 def _add_out_flag(p: argparse.ArgumentParser) -> None:
@@ -106,27 +98,24 @@ def _sdm_build(args: argparse.Namespace) -> Result:
         rows = [list(map(name, row)) for row in m.levels]
         return _table([f"c{j}" for j in range(m.n)], rows)
 
-    return EXIT_OK, m.to_json_dict(), m.to_csv, table
+    return EXIT_OK, m.to_json_dict, m.to_csv, table
 
 
 def _sdm_eig(args: argparse.Namespace) -> Result:
-    data = spectrum.to_json_dict(args.s, args.r)
-    forms = [
-        spectrum.EigenvalueForm(e["l"], tuple(e["coeffs"]), e["multiplicity"])
-        for e in data["eigenvalues"]
-    ]
+    s, r = args.s, args.r
 
     def csv() -> str:
-        lo = min(args.s, args.r)
-        lines = ["l,multiplicity," + ",".join(f"c{v}" for v in range(lo + 1))]
+        forms = spectrum.distinct_eigenvalues(s, r)
+        lines = ["l,multiplicity," + ",".join(f"c{v}" for v in range(min(s, r) + 1))]
         lines += [f"{f.l},{f.multiplicity}," + ",".join(map(str, f.coeffs)) for f in forms]
         return "\n".join(lines) + "\n"
 
     def table() -> str:
+        forms = spectrum.distinct_eigenvalues(s, r)
         rows = [[str(f.l), str(f), str(f.multiplicity)] for f in forms]
         return _table(["l", "eigenvalue", "multiplicity"], rows)
 
-    return EXIT_OK, data, csv, table
+    return EXIT_OK, lambda: spectrum.to_json_dict(s, r), csv, table
 
 
 def _sdm_verify(args: argparse.Namespace) -> Result:
@@ -151,7 +140,7 @@ def _sdm_verify(args: argparse.Namespace) -> Result:
                 lines.append(f"  trial {f['trial']}: substitution {f['substitution']}")
         return "\n".join(lines) + "\n"
 
-    return EXIT_OK if report.passed else EXIT_VERIFY, report.to_json_dict(), csv, table
+    return EXIT_OK if report.passed else EXIT_VERIFY, report.to_json_dict, csv, table
 
 
 def sdm_main(argv: Sequence[str] | None = None) -> int:
@@ -194,42 +183,44 @@ def _gram_partition(args: argparse.Namespace) -> Result:
     gram = gram_partition.build_gram(k, s, args.max_size) if args.matrix else None
     singular = gram_partition.semisimple_exceptions(k, s) if args.roots else None
 
-    data = gram_partition.to_json_dict(
-        k,
-        s,
-        include_matrix=args.matrix,
-        det_sign=det_sign,
-        singular_x=singular,
-        gram=gram,
-    )
-    if det_report is not None:
-        data["det"] = det_report.extra["det"]
-    records = [
-        (blk["r"], e["l"], e["multiplicity"], e["poly"])
-        for blk in data["blocks"]
-        for e in blk["eigen"]
-    ]
+    def data() -> dict:
+        out = gram_partition.to_json_dict(
+            k,
+            s,
+            include_matrix=args.matrix,
+            det_sign=det_sign,
+            singular_x=singular,
+            gram=gram,
+        )
+        if det_report is not None:
+            out["det"] = det_report.extra["det"]
+        return out
 
-    def matrix_rows() -> list[list[str]]:
-        return [[_monomial(p) for p in row] for row in data["matrix"]["entries"]]
+    def eigen() -> list[tuple]:
+        """(r, l, E_{r,l}, multiplicity) over the blocks."""
+        return [(b.r, *e) for b in gram_partition.block_spectra(k, s) for e in b.eigenpolys]
+
+    def matrix(cell: Callable[[object], str], sep: str) -> str:
+        """G_s a row a line; a cell is 0 or x^m, so cell runs once per value."""
+        text = functools.cache(cell)
+        return "".join(sep.join(map(text, row)).rstrip() + "\n" for row in gram.entries)
 
     def csv() -> str:
         if args.matrix:
-            return "\n".join(",".join(row) for row in matrix_rows()) + "\n"
+            return matrix(str, ",")
         lines = ["r,l,multiplicity,poly"]
-        lines += [f"{r},{l},{m},{';'.join(p)}" for r, l, m, p in records]
+        lines += [f"{r},{l},{m},{';'.join(p.to_json())}" for r, l, p, m in eigen()]
         return "\n".join(lines) + "\n"
 
     def table() -> str:
-        rows = [[str(c) for c in (r, l, _poly(p), m)] for r, l, m, p in records]
+        rows = [[str(c) for c in e] for e in eigen()]
         text = _table(["r", "l", "eigenpoly", "multiplicity"], rows)
         if det_sign is not None:
             text += f"det sign: {det_sign:+d}\n"
         if singular is not None:
             text += f"singular x: {sorted(singular)}\n"
         if args.matrix:
-            for row in matrix_rows():
-                text += "  ".join(c.rjust(3) for c in row).rstrip() + "\n"
+            text += matrix(lambda p: str(p).rjust(3), "  ")
         return text
 
     failed = det_report is not None and not det_report.passed
@@ -237,25 +228,25 @@ def _gram_partition(args: argparse.Namespace) -> Result:
 
 
 def _gram_signed_like(args: argparse.Namespace) -> Result:
-    data = gram_signed_z2.to_json_dict(args.k, args.s1, args.s2, args.command)
-    records = [
-        (blk["r1"], blk["r2"], e["l1"], e["l2"], e["multiplicity_per_copy"], e["poly"])
-        for blk in data["blocks"]
-        for e in blk["eigen"]
-    ]
+    shape = (args.k, args.s1, args.s2, args.command)
+
+    def eigen() -> list[tuple]:
+        """(r1, r2, l1, l2, eigenpoly, multiplicity per copy) over the blocks."""
+        blocks = gram_signed_z2.block_spectra(*shape)
+        return [(r1, r2, *e) for r1, r2, spec in blocks for e in spec]
 
     def csv() -> str:
         lines = ["r1,r2,l1,l2,multiplicity_per_copy,poly"]
-        lines += [f"{r1},{r2},{l1},{l2},{m},{';'.join(p)}" for r1, r2, l1, l2, m, p in records]
+        lines += [
+            f"{r1},{r2},{l1},{l2},{m},{';'.join(p.to_json())}" for r1, r2, l1, l2, p, m in eigen()
+        ]
         return "\n".join(lines) + "\n"
 
     def table() -> str:
-        rows = [
-            [str(c) for c in (r1, r2, l1, l2, _poly(p), m)] for r1, r2, l1, l2, m, p in records
-        ]
+        rows = [[str(c) for c in e] for e in eigen()]
         return _table(["r1", "r2", "l1", "l2", "eigenpoly", "mult/copy"], rows)
 
-    return EXIT_OK, data, csv, table
+    return EXIT_OK, lambda: gram_signed_z2.to_json_dict(*shape), csv, table
 
 
 def gram_main(argv: Sequence[str] | None = None) -> int:
@@ -293,8 +284,8 @@ def _dispatch(parser: argparse.ArgumentParser, argv: Sequence[str] | None) -> in
         return int(e.code or 0)
     try:
         fmt = _resolve_format(args.out)
-        code, data, csv, table = args.handler(args)
-        _emit(fmt, data, csv, table)
+        code, *renderers = args.handler(args)
+        _emit(fmt, *renderers)
         return code
     except SizeCapExceeded as e:
         sys.stderr.write(f"error: {e}\n")

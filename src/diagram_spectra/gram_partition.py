@@ -64,6 +64,7 @@ suite exercises exactly that corner.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -118,7 +119,8 @@ class HalfDiagram:
 # (240, 0) 29 161 and (3000, 2000) 334 835 501
 MAX_REPORT_COEFFS = 300_000
 
-# build_gram's join walk, runs^2 * k: (40, 39) counts 24.4 M, (76, 75) 618 M
+# build_gram's join walk, runs^2 * k: (40, 39) counts 24.4 M, (76, 75) 618 M;
+# also the bits of its k block masks of up to k bits each, k^2, so k <= 7071
 MAX_JOIN_WORK = 50_000_000
 
 
@@ -188,15 +190,20 @@ def gram_side(k: int, s: int, max_size: float = DEFAULT_MAX_SIZE) -> int:
 
 
 def build_gram(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> GramMatrix:
-    """G_s on k points, in the row order of enumerate_half_diagrams. The side
-    and the join work, runs^2 * k with one run per row partition, are capped
-    before anything is enumerated. A partition gets an id on first sight, the
-    runs' first, in row order; -1 stands for a join of fewer than s blocks,
-    which has no nonzero cell, and neither has any coarser one."""
+    """G_s on k points, in the row order of enumerate_half_diagrams. The side,
+    the join work, runs^2 * k with one run per row partition, and the k^2
+    bits of a join's block masks, one int of up to k bits per block, are
+    capped before anything is enumerated: at s = k the side and the run
+    count are 1, but each join still has k blocks. A partition gets an id
+    on first sight, the runs' first, in row order; -1 stands for a join of
+    fewer than s blocks, which has no nonzero cell, and neither has any
+    coarser one."""
     n = gram_side(k, s, max_size)
     work = sum(stirling2(k, b) for b in range(max(s, 1), k + 1)) ** 2 * k
     if work > MAX_JOIN_WORK:
         raise SizeCapExceeded(f"join work of G_{s} on {k} points", work, MAX_JOIN_WORK)
+    if k * k > MAX_JOIN_WORK:
+        raise SizeCapExceeded(f"block-mask bits of G_{s} on {k} points", k * k, MAX_JOIN_WORK)
     diagrams = enumerate_half_diagrams(k, s)
     # a join has at most k blocks, so an entry is x^m with m <= k - s
     powers = [X.pow(m) for m in range(k - s + 1)]
@@ -376,9 +383,11 @@ def to_json_dict(
         out["singular_x"] = sorted(singular_x)
     if include_matrix:
         g = build_gram(k, s) if gram is None else gram
+        # a cell is 0 or x^m, m <= k - s: one shared JSON list per value
+        cell = functools.cache(Polynomial.to_json)
         out["matrix"] = {
             "n": g.n,
             "diagrams": [str(d) for d in g.diagrams],
-            "entries": [[p.to_json() for p in row] for row in g.entries],
+            "entries": [list(map(cell, row)) for row in g.entries],
         }
     return out

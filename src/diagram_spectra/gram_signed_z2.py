@@ -25,10 +25,10 @@ they aggregate.
 Block ranges, with K = k - s1 - s2: Z2-relations mode allows
 0 <= r1, r2 <= K; signed mode additionally requires r2 <= K - 1.
 _block_ranges is the one place that states this rule and its errors, for
-SignedBlockKey.validate and to_json_dict alike. to_json_dict counts the
-coefficients its report would hold from the shape alone, in closed form,
-and raises SizeCapExceeded past MAX_REPORT_COEFFS before forming any
-polynomial.
+SignedBlockKey.validate and block_spectra alike. block_spectra, which
+to_json_dict and the CLI's csv and table read, counts the coefficients the
+report would hold from the shape alone, in closed form, and raises
+SizeCapExceeded past MAX_REPORT_COEFFS before forming any polynomial.
 
 The signed case has one extra block with no tensor structure, built by
 build_exceptional_block: it collects the diagrams whose underlying partition
@@ -156,7 +156,7 @@ MAX_REPORT_COEFFS = 300_000
 
 
 def _report_coeffs(s1: int, s2: int, cap: int, r2_cap: int) -> int:
-    """The number of coefficients to_json_dict emits for r1 <= cap and
+    """The number of coefficients of the report for r1 <= cap and
     r2 <= r2_cap, the sum over its blocks of (min(s1,r1)+1)(min(s2,r2)+1)
     (2r1+r2+1): families times the coefficients of an eigenpoly of degree
     2r1+r2. The sum factors into sums over r1 and over r2 alone, each in
@@ -166,32 +166,34 @@ def _report_coeffs(s1: int, s2: int, cap: int, r2_cap: int) -> int:
     return 2 * a1 * b0 + a0 * b1 + a0 * b0
 
 
-def to_json_dict(k: int, s1: int, s2: int, mode: str) -> dict:
-    """Spectrum report over all (r1, r2) blocks valid for the mode. Raises
-    SizeCapExceeded, before any polynomial is formed, when the report would
-    hold more than MAX_REPORT_COEFFS coefficients."""
+def block_spectra(
+    k: int, s1: int, s2: int, mode: str
+) -> list[tuple[int, int, list[tuple[int, int, Polynomial, int]]]]:
+    """(r1, r2, block_spectrum_tensor) for every (r1, r2) block valid for the
+    mode. Raises SizeCapExceeded, before any polynomial is formed, when the
+    report would hold more than MAX_REPORT_COEFFS coefficients."""
     cap, r2_cap = _block_ranges(k, s1, s2, mode)
     coeffs = _report_coeffs(s1, s2, cap, r2_cap)
     if coeffs > MAX_REPORT_COEFFS:
         raise SizeCapExceeded(f"gram {mode} report coefficients", coeffs, MAX_REPORT_COEFFS)
-    blocks = []
-    for r1 in range(0, cap + 1):
-        for r2 in range(0, r2_cap + 1):
-            key = SignedBlockKey(k=k, s1=s1, s2=s2, r1=r1, r2=r2)
-            spec = block_spectrum_tensor(key, mode)
-            blocks.append(
-                {
-                    "r1": r1,
-                    "r2": r2,
-                    "eigen": [
-                        {
-                            "l1": l1,
-                            "l2": l2,
-                            "poly": p.to_json(),
-                            "multiplicity_per_copy": m,
-                        }
-                        for l1, l2, p, m in spec
-                    ],
-                }
-            )
+    return [
+        (r1, r2, block_spectrum_tensor(SignedBlockKey(k=k, s1=s1, s2=s2, r1=r1, r2=r2), mode))
+        for r1 in range(cap + 1)
+        for r2 in range(r2_cap + 1)
+    ]
+
+
+def to_json_dict(k: int, s1: int, s2: int, mode: str) -> dict:
+    """Spectrum report over block_spectra(k, s1, s2, mode), capped there."""
+    blocks = [
+        {
+            "r1": r1,
+            "r2": r2,
+            "eigen": [
+                {"l1": l1, "l2": l2, "poly": p.to_json(), "multiplicity_per_copy": m}
+                for l1, l2, p, m in spec
+            ],
+        }
+        for r1, r2, spec in block_spectra(k, s1, s2, mode)
+    ]
     return {"mode": mode, "k": k, "s1": s1, "s2": s2, "blocks": blocks}

@@ -57,11 +57,13 @@ from .combinat import binomial, k_subsets
 from .errors import SizeCapExceeded
 
 # a side of 4000 is 16 M cells; memory grows as the side squared, one byte
-# per cell here, but the CLI's JSON rows take an 8-byte pointer per cell, and
+# per cell here, but under --out json the CLI's JSON rows take an 8-byte
+# pointer per cell (csv and pretty-table read the bytes rows), and
 # `substitute` 8 bytes per cell plus its memo's distinct segments (about 0.2
 # byte per cell at side 3003), so the cap stays where those fit
 # (build(7, 7), side 3432, peaks at about 27 MB of which 16 MB is the
-# interpreter), and the largest side built in practice is 3003
+# interpreter), and the largest side built in practice is 3003; the same cap
+# bounds the s + r points, checked before the side
 DEFAULT_MAX_SIZE = 4000
 
 # below this side the block memo gains little or nothing: timed against the
@@ -105,11 +107,18 @@ class EntryMatrix:
 
 
 def build(s: int, r: int, max_size: int = DEFAULT_MAX_SIZE) -> EntryMatrix:
-    """Construct A^{s+r,s} as a level matrix."""
+    """Construct A^{s+r,s} as a level matrix. The s + r points are capped
+    by max_size before the side C(s+r, s) is computed: the side is 1 at
+    s = 0 or r = 0, but the through sets and columns still take s + r
+    points, and C(s+r, s) itself is slow to compute at s, r near 10**6.
+    When min(s, r) >= 1 the side is at least s + r, so there the side cap
+    refuses whatever the points cap would."""
     if s < 0 or r < 0:
         raise ValueError(f"need s, r >= 0, got ({s}, {r})")
     if s + r < 1:
         raise ValueError("need s + r >= 1")
+    if s + r > max_size:
+        raise SizeCapExceeded(f"points of A^{{{s + r},{s}}}", s + r, max_size)
     n = binomial(s + r, s)
     if n > max_size:
         raise SizeCapExceeded(f"A^{{{s + r},{s}}}", n, max_size)

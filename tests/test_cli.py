@@ -230,6 +230,28 @@ def test_sdm_build_memory_cap_exits_before_building(monkeypatch, capsys):
     assert err == f"error: A^{{18,9}}: size 48620 exceeds cap {sdm.DEFAULT_MAX_SIZE}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,points",
+    [
+        (["build", "--s", str(10**12), "--r", "0"], 10**12),
+        (["verify", "--s", "0", "--r", str(10**30)], 10**30),
+        (["build", "--s", str(10**6), "--r", str(10**6)], 2 * 10**6),
+        (["verify", "--s", str(10**6), "--r", str(10**6)], 2 * 10**6),
+    ],
+)
+def test_sdm_points_cap_exits_at_once(capsys, argv, points):
+    # the side is 1 at s = 0 or r = 0, and C(2*10^6, 10^6) takes seconds:
+    # the s + r points are refused first, with no traceback
+    start = time.perf_counter()
+    assert sdm_main(argv + ["--out", "pretty-table"]) == EXIT_CAP
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    cap = sdm.DEFAULT_MAX_SIZE if argv[0] == "build" else oracle.DEFAULT_CHARPOLY_CAP
+    what = f"points of A^{{{points},{argv[2]}}}"
+    assert err == f"error: {what}: size {points} exceeds cap {cap}\n"
+
+
 def test_sdm_eig_work_cap_exit(capsys):
     # about 4M Eberlein coefficients: refused before any is computed
     assert sdm_main(["eig", "--s", "2000", "--r", "2000"]) == EXIT_CAP
@@ -454,6 +476,20 @@ def test_gram_partition_matrix_join_work_cap_exits_at_once():
     assert proc.stderr == f"error: join work of G_75 on 76 points: size {work} exceeds cap {cap}\n"
 
 
+def test_gram_partition_matrix_mask_bits_cap_exits_at_once(capsys):
+    # side 1 and one run, but a join of 10^6 blocks, each with a mask of up
+    # to 10^6 bits: refused before anything is enumerated
+    start = time.perf_counter()
+    argv = ["partition", "--k", str(10**6), "--s", str(10**6), "--matrix", "--out", "csv"]
+    assert gram_main(argv) == EXIT_CAP
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    cap = gram_partition.MAX_JOIN_WORK
+    what = "block-mask bits of G_1000000 on 1000000 points"
+    assert err == f"error: {what}: size {10**12} exceeds cap {cap}\n"
+
+
 def test_gram_partition_roots_many_points_no_traceback():
     # read off the linear factors of the E_{r,l}, whose trailing
     # coefficients reach 111 bits, with no search for roots
@@ -525,3 +561,82 @@ def test_gram_byte_identical(capsys):
     first = capsys.readouterr().out
     gram_main(["partition", "--k", "3", "--s", "1", "--det", "--roots"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pretty-table"])
+@pytest.mark.parametrize(
+    "invocation",
+    [
+        ["sdm", "build", "--s", "2", "--r", "3"],
+        ["sdm", "eig", "--s", "3", "--r", "2"],
+        ["sdm", "verify", "--s", "2", "--r", "2", "--trials", "1"],
+        ["gram", "partition", "--k", "3", "--s", "1"],
+        ["gram", "partition", "--k", "3", "--s", "1", "--matrix", "--det", "--roots"],
+        ["gram", "z2", "--k", "3", "--s1", "1", "--s2", "0"],
+        ["gram", "signed", "--k", "3", "--s1", "1", "--s2", "0"],
+    ],
+    ids=" ".join,
+)
+def test_csv_and_table_build_no_json_object(monkeypatch, capsys, fmt, invocation):
+    # csv and pretty-table render from the library's values; the JSON
+    # object is built only for --out json
+    def refuse(*args, **kwargs):
+        raise AssertionError("to_json_dict ran for a non-json format")
+
+    for owner in (sdm.EntryMatrix, spectrum, gram_partition, gram_signed_z2, VerifyReport):
+        monkeypatch.setattr(owner, "to_json_dict", refuse)
+    tool, *argv = invocation
+    main = {"sdm": sdm_main, "gram": gram_main}[tool]
+    assert main(argv + ["--out", fmt]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out and not err
+
+
+def _gram_stdout(capsys, argv):
+    assert gram_main(argv) == EXIT_OK
+    return capsys.readouterr().out
+
+
+def _monomial_token(coeffs):
+    """The csv text of a Gram cell from its JSON coefficients, which must be
+    those of 0 or x^m."""
+    if not coeffs:
+        return "0"
+    assert coeffs[-1] == "1" and set(coeffs[:-1]) <= {"0"}
+    return {1: "1", 2: "x"}.get(len(coeffs), f"x^{len(coeffs) - 1}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "--k", "5", "--s", "1", "--matrix"],
+        ["partition", "--k", "5", "--s", "2", "--matrix"],
+        ["partition", "--k", "5", "--s", "2"],
+        ["z2", "--k", "6", "--s1", "1", "--s2", "1"],
+        ["signed", "--k", "6", "--s1", "1", "--s2", "1"],
+    ],
+    ids=" ".join,
+)
+def test_csv_rows_agree_with_json_output(capsys, argv):
+    # past the golden corpus's shapes: the csv rows are what the json
+    # stdout of the same invocation implies
+    data = json.loads(_gram_stdout(capsys, argv + ["--out", "json"]))
+    rows = [line.split(",") for line in _gram_stdout(capsys, argv + ["--out", "csv"]).splitlines()]
+    if "--matrix" in argv:
+        want = [[_monomial_token(p) for p in row] for row in data["matrix"]["entries"]]
+        assert len(want) == data["matrix"]["n"] > 0
+    elif argv[0] == "partition":
+        want = [["r", "l", "multiplicity", "poly"]] + [
+            [str(b["r"]), str(e["l"]), str(e["multiplicity"]), ";".join(e["poly"])]
+            for b in data["blocks"]
+            for e in b["eigen"]
+        ]
+    else:
+        want = [["r1", "r2", "l1", "l2", "multiplicity_per_copy", "poly"]] + [
+            [str(b["r1"]), str(b["r2"]), str(e["l1"]), str(e["l2"])]
+            + [str(e["multiplicity_per_copy"]), ";".join(e["poly"])]
+            for b in data["blocks"]
+            for e in b["eigen"]
+        ]
+        assert len(want) > 1
+    assert rows == want

@@ -114,6 +114,23 @@ def test_build_gram_join_work_cap_checked_before_enumerating(monkeypatch):
     assert refused.value.size == 2851**2 * 76
 
 
+def test_build_gram_mask_bits_cap_checked_before_enumerating(monkeypatch):
+    # at s = k the side, the run count and the join work are all small, but
+    # a join has k blocks, each with a mask of up to k bits: (10^5, 10^5)
+    # peaked at 671 MB for a 1x1 matrix before this cap
+    def refuse(n, b):
+        raise AssertionError("enumerated past the cap")
+
+    assert build_gram(40, 39).n == 820
+    assert build_gram(7071, 7071).entries == ((ONE,),)
+    monkeypatch.setattr(gram_partition, "set_partitions", refuse)
+    for k in (7072, 10**5):
+        with pytest.raises(SizeCapExceeded) as refused:
+            build_gram(k, k)
+        assert refused.value.size == k * k > gram_partition.MAX_JOIN_WORK
+        assert refused.value.what == f"block-mask bits of G_{k} on {k} points"
+
+
 def test_build_gram_enumerates_only_the_row_partitions(monkeypatch):
     # the joins are formed by merges, so the only partitions enumerated are
     # the rows', into b >= s blocks, as enumerate_half_diagrams asks: never

@@ -12,6 +12,8 @@ import tracemalloc
 
 import pytest
 
+from diagram_spectra import sdm
+
 from diagram_spectra.combinat import Subset, binomial, k_subsets
 from diagram_spectra.errors import SizeCapExceeded
 from diagram_spectra.sdm import _block_table, _memo_depth, _spans, build, substitute
@@ -177,6 +179,32 @@ def test_build_rejects_degenerate_and_caps():
         build(30, 30)
     with pytest.raises(SizeCapExceeded):
         build(3, 3, max_size=10)
+
+
+@pytest.mark.parametrize(
+    "s,r,max_size", [(10**12, 0, 4000), (0, 10**30, 300), (10**6, 10**6, 4000), (4000, 1, 4000)]
+)
+def test_build_caps_the_points_before_the_side(monkeypatch, s, r, max_size):
+    # C(s+r, s) is 1 at s = 0 or r = 0, yet the through sets and columns
+    # take s + r points; at s = r = 10^6 the binomial alone runs for seconds
+    def refuse(n, k):
+        raise AssertionError("the side was computed past the points cap")
+
+    monkeypatch.setattr(sdm, "binomial", refuse)
+    with pytest.raises(SizeCapExceeded) as refused:
+        build(s, r, max_size=max_size)
+    assert (refused.value.size, refused.value.cap) == (s + r, max_size)
+    assert refused.value.what == f"points of A^{{{s + r},{s}}}"
+
+
+def test_build_points_cap_moves_no_side_refusal():
+    # with min(s, r) >= 1 the side C(s+r, s) is at least s + r, so these
+    # shapes are still refused on their side
+    for s, r, max_size in ((30, 30, 4000), (4, 4, 69), (2, 2, 5), (9, 9, 4000)):
+        with pytest.raises(SizeCapExceeded) as refused:
+            build(s, r, max_size=max_size)
+        assert refused.value.size == binomial(s + r, s)
+    assert build(4000, 0).n == build(0, 4000).n == 1
 
 
 def test_substitute_integer_values():
