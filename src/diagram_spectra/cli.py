@@ -56,15 +56,9 @@ def _resolve_format(explicit: str | None) -> str:
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    def fmt_row(cells: list[str]) -> str:
-        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    lines = [fmt_row(headers), "  ".join("-" * w for w in widths)]
-    lines += [fmt_row(row) for row in rows]
-    return "".join(line + "\n" for line in lines)
+    widths = [max(map(len, col)) for col in zip(headers, *rows)]
+    lines = [headers, ["-" * w for w in widths], *rows]
+    return "".join("  ".join(map(str.ljust, cells, widths)).rstrip() + "\n" for cells in lines)
 
 
 def _emit(

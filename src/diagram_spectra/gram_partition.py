@@ -116,7 +116,9 @@ class HalfDiagram:
 
 
 # every golden, test and bench shape is far under; (3000, 2990) counts 506,
-# (240, 0) 29 161 and (3000, 2000) 334 835 501
+# (240, 0) 29 161 and (3000, 2000) 334 835 501. gram_signed_z2 caps its
+# reports by the same number: every k <= 6 shape counts at most 621 there,
+# and (30, 8, 8) 265 518
 MAX_REPORT_COEFFS = 300_000
 
 # build_gram's join walk, runs^2 * k: (40, 39) counts 24.4 M, (76, 75) 618 M;

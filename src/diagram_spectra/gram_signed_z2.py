@@ -46,7 +46,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import SizeCapExceeded
-from .gram_partition import family_sums, product_form, product_form_roots, x_substitution_poly
+from .gram_partition import MAX_REPORT_COEFFS, family_sums, product_form, product_form_roots
+from .gram_partition import x_substitution_poly
 from .poly import Polynomial, factor_product
 from .spectrum import multiplicities
 
@@ -149,10 +150,6 @@ def build_exceptional_block(k: int, s1: int, s2: int) -> list[list[Polynomial]]:
                 row.append(run.scale((-1) ** (row_rp1[i] + row_rp1[j])))
         out.append(row)
     return out
-
-
-# every k <= 6 shape is far under (at most 621); (30, 8, 8) has 265 518
-MAX_REPORT_COEFFS = 300_000
 
 
 def _report_coeffs(s1: int, s2: int, cap: int, r2_cap: int) -> int:

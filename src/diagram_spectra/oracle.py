@@ -26,10 +26,12 @@ spanned by the A_v, with P_l(d) = 1, and its multiplicities meet the
 orthogonality relation n = m_l sum_v P_l(v)^2 / k_v (Delsarte 1973;
 Brouwer, Cohen & Neumaier, Distance-Regular Graphs, ch. 2 and 9.1). The
 intersection numbers p^u_vw it takes are counted in closed form, as in the
-Gram certificate below, and tied to the built level matrix: every column,
-read against row 0, must count them. charpoly runs only when the
-certificate fails, on `trials` random substitutions seeded by `seed`, to
-find witnesses.
+Gram certificate below. The built level matrix must meet the paper's entry
+rule in every cell, recomputed from indicators the oracle builds itself,
+and then count the p^u_vw at one pair per level, which ties them to every
+pair since S_{s+r} acts transitively on each relation. charpoly runs only
+when the certificate fails, on `trials` random substitutions seeded by
+`seed`, to find witnesses.
 
 verify_gram_det certifies det G_s = prod_{r,l} E_{r,l}^{mult}, sign +1
 included, from (k, s) alone, in closed-form arithmetic: it builds no G_s
@@ -60,7 +62,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter, mul
+from operator import mul
 from typing import Sequence
 
 from . import gram_partition, sdm, spectrum
@@ -287,28 +289,38 @@ def _intersection_numbers(s: int, r: int) -> list[list[list[int]]]:
     return p
 
 
-def _tie_failure(levels: Sequence, p: Sequence) -> tuple[str, str] | None:
-    """The first column y of a level matrix whose counts #{z : levels[0][z]
-    = v, levels[y][z] = w} are not p[u][v][w] for u = levels[0][y], as
-    ("intersection numbers", detail), or None when every column counts p.
-    With p counted for J(s+r, s), this ties the built matrix to the scheme;
-    as p^d_vv = k_v >= 1 and k_d = 1, row 0 must hold every level, and
-    level d only on the diagonal."""
-    d = len(p) - 1
-    row0 = levels[0]
-    # the columns z in order of their level in row 0, so that the z at
-    # level v form one span
-    order = sorted(range(len(row0)), key=row0.__getitem__)
-    ends = list(itertools.accumulate(row0.count(v) for v in range(d + 1)))
-    spans = list(zip([0] + ends, ends))
-    pick = itemgetter(*order) if len(order) > 1 else lambda row: (row[0],)
-    # p[u] flattened, v major, the order in which a row's counts are taken
-    want = [[c for pv in pu for c in pv] for pu in p]
-    ws = range(d + 1)
-    for y, row in enumerate(levels):
-        picked = bytes(pick(row))
-        u = row0[y]
-        if u > d or [picked.count(w, a, b) for a, b in spans for w in ws] != want[u]:
+def _level_failure(s: int, r: int, levels: Sequence, p: Sequence) -> tuple[str, str] | None:
+    """The first failed check of a level matrix of A^{s+r,s}, as (step,
+    detail), or None when both hold:
+
+    1. "entry rule": every cell is the paper's x_{d-f}, d = min(s,r), f the
+       points through in one index diagram and horizontal in the other. The
+       through sets T_j are recomputed here in lexicographic order, with P_e
+       the packed indicator of point e (byte j is 1 when T_j holds e), and
+       row i must be the bytes of d*1 - sum_{e not in T_i} P_e, whose byte j
+       is d - |T_j minus T_i| = d - f. No byte of a partial sum passes f, so
+       none carries or borrows.
+    2. "intersection numbers": for each level u, the first column y at
+       level u in row 0 counts #{z : levels[0][z] = v, levels[y][z] = w} =
+       p[u][v][w]. Once every cell holds, the matrix is J(s+r, s)'s, whose
+       relations S_{s+r} permutes transitively pair by pair, so one pair at
+       each level ties p to all of them; row 0 holds every level, as T_0
+       meets some T_j in each of max(0, s-r)..s points."""
+    d = min(s, r)
+    through = list(itertools.combinations(range(s + r), s))
+    n = len(through)
+    if len(levels) != n:
+        return "entry rule", f"side {len(levels)}, want C({s + r},{s}) = {n}"
+    packed = [int.from_bytes(bytes(e in t for t in through), "little") for e in range(s + r)]
+    top = d * int.from_bytes(b"\x01" * n, "little")
+    for i, (t, row) in enumerate(zip(through, levels)):
+        want = top - sum([packed[e] for e in range(s + r) if e not in t])
+        if bytes(row) != want.to_bytes(n, "little"):
+            return "entry rule", f"row {i} is not x_{{min(s,r)-f}} cell by cell"
+    for u, pu in enumerate(p):
+        y = levels[0].index(u)
+        counts = Counter(zip(levels[0], levels[y]))
+        if any(counts[v, w] != c for v, pv in enumerate(pu) for w, c in enumerate(pv)):
             return "intersection numbers", f"column {y} at level {u} does not count p^{u}_vw"
     return None
 
@@ -362,16 +374,20 @@ def verify_sdm_spectrum(
 ) -> VerifyReport:
     """Certify the closed-form spectrum of A^{s+r,s} for every x at once.
 
-    The level relations A_0..A_d (d = min(s,r)) of A^{s+r,s} are those of
-    the Johnson scheme J(s+r, s). Their intersection numbers p^u_vw are
-    counted (_intersection_numbers), the same ones each block of
-    verify_gram_det takes, and tied to the built level matrix (_tie_failure,
-    step "intersection numbers"). The closed form passes when its
-    coefficient rows P_l(v) are d+1 distinct characters of the algebra they
-    span (P_l(d) = 1, P_l(v) P_l(w) = sum_u p^u_vw P_l(u)) whose
-    multiplicities satisfy n = m_l sum_v P_l(v)^2 / k_v. Then
-    charpoly(sum_v x_v A_v) = prod_l (lambda - E_l)^{m_l} identically; see
-    _certificate_failure.
+    A pass proves, for the matrix sdm.build(s, r) returns, in its
+    lexicographic order of through sets:
+    1. every cell is x_{d-f}, d = min(s,r), as the paper defines A^{s+r,s}
+       (_level_failure, step "entry rule"), so its level relations A_0..A_d
+       are those of the Johnson scheme J(s+r, s);
+    2. the counted intersection numbers p^u_vw (_intersection_numbers, the
+       same ones each block of verify_gram_det takes) are the matrix's own
+       (step "intersection numbers");
+    3. the closed form's coefficient rows P_l(v) are d+1 distinct
+       characters of the algebra the A_v span (P_l(d) = 1, P_l(v) P_l(w) =
+       sum_u p^u_vw P_l(u)) whose multiplicities satisfy n = m_l sum_v
+       P_l(v)^2 / k_v (_certificate_failure).
+    Hence charpoly(sum_v x_v A_v) = prod_l (lambda - E_l)^{m_l} as
+    polynomials in x_0..x_d, for every substitution at once.
 
     Only when the certificate fails do `trials` charpoly trials, seeded by
     `seed`, look for witnesses: each substitutes pseudo-random integers in
@@ -386,7 +402,7 @@ def verify_sdm_spectrum(
     matrix = sdm.build(s, r, max_size=max_size)
     forms = spectrum.distinct_eigenvalues(s, r)
     p = _intersection_numbers(s, r)
-    failed = _tie_failure(matrix.levels, p) or _certificate_failure(p, forms)
+    failed = _level_failure(s, r, matrix.levels, p) or _certificate_failure(p, forms)
     failures = []
     if failed is not None:
         rng = random.Random(f"{seed}:{s}:{r}")

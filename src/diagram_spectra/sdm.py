@@ -165,10 +165,15 @@ def substitute(m: EntryMatrix, values: Sequence[T]) -> list[list[T]]:
                     row[cols] = segment
                 rows.append(row)
         return rows
-    if m.n == 1:
-        # itemgetter of one index returns the item, not a tuple
-        return [[values[m.levels[0][0]]]]
-    return [list(itemgetter(*row)(values)) for row in m.levels]
+    return [_lookup(row, values) for row in m.levels]
+
+
+def _lookup(cells: bytes, values: Sequence[T]) -> list[T]:
+    """[values[v] for v in cells], by one itemgetter where cells has more
+    than one level; itemgetter of one index returns the item, not a tuple."""
+    if len(cells) == 1:
+        return [values[cells[0]]]
+    return list(itemgetter(*cells)(values))
 
 
 def _memo_depth(s: int, r: int) -> tuple[int, list[tuple[int, int, int]]]:
@@ -228,10 +233,7 @@ def _block_table(
             key = (a, cmask.bit_count(), (rmask & cmask).bit_count())
             block = blocks.get(key)
             if block is None:
-                if c1 - c0 == 1:
-                    block = [[values[row[c0]]] for row in levels[r0:r1]]
-                else:
-                    block = [list(itemgetter(*row[c0:c1])(values)) for row in levels[r0:r1]]
+                block = [_lookup(row[c0:c1], values) for row in levels[r0:r1]]
                 blocks[key] = block
             parts.append(block)
         table.append(parts)

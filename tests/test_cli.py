@@ -16,6 +16,7 @@ from diagram_spectra.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     FORMAT_ENV_VAR,
+    _table,
     gram_main,
     sdm_main,
 )
@@ -122,6 +123,24 @@ def test_sdm_verify_unwitnessed_failure_table(monkeypatch, capsys):
     )
     assert sdm_main(argv) == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["failures"][0]["step"] == "characters"
+
+
+@pytest.mark.parametrize(
+    "headers, rows, text",
+    [
+        (["l", "eigenvalue"], [], "l  eigenvalue\n-  ----------\n"),
+        (["c0"], [["x10"], ["x1"]], "c0\n---\nx10\nx1\n"),
+        (
+            ["l", "e", "m"],
+            [["0", "x0 + 2x1", "1"], ["10", "", "5"]],
+            "l   e         m\n--  --------  -\n0   x0 + 2x1  1\n10            5\n",
+        ),
+    ],
+    ids=["no-rows", "one-column", "padded"],
+)
+def test_table_pads_each_column_to_its_widest_cell(headers, rows, text):
+    # trailing spaces are stripped from every line
+    assert _table(headers, rows) == text
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

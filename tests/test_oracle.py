@@ -18,7 +18,7 @@ from diagram_spectra.oracle import (
     _MERSENNE_EXPONENTS,
     _certificate_failure,
     _intersection_numbers,
-    _tie_failure,
+    _level_failure,
     charpoly,
     congruence_entry,
     det_by_minors,
@@ -293,11 +293,25 @@ def _swapped(forms):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_intersection_numbers_count_the_level_matrix(n):
-    # every column of sdm.build counts the counted numbers, for every shape
-    # with s + r = n (sides up to 924)
+    # sdm.build meets the entry rule, and one pair per level counts the
+    # counted numbers, for every shape with s + r = n (sides up to 924)
     for s in range(n + 1):
-        matrix = sdm.build(s, n - s)
-        assert _tie_failure(matrix.levels, _intersection_numbers(s, n - s)) is None, (s, n - s)
+        p = _intersection_numbers(s, n - s)
+        assert _level_failure(s, n - s, sdm.build(s, n - s).levels, p) is None, (s, n - s)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_intersection_numbers_count_every_pair_of_rows(n):
+    # the runtime tie reads one column per level; here every ordered pair of
+    # rows (x, y) of sdm.build counts p^u_vw, u the level of (x, y)
+    for s in range(n + 1):
+        levels = sdm.build(s, n - s).levels
+        p = _intersection_numbers(s, n - s)
+        d = len(p) - 1
+        for (i, x), (j, y) in itertools.product(enumerate(levels), repeat=2):
+            counts = collections.Counter(zip(x, y))
+            got = [[counts[v, w] for w in range(d + 1)] for v in range(d + 1)]
+            assert got == p[x[j]], (s, i, j)
 
 
 def _charpoly_agrees(matrix, forms, values):
@@ -341,18 +355,16 @@ def test_certificate_rejects_mutated_closed_form(monkeypatch, mutate, step):
 
 def test_certificate_rejects_tampered_level_matrix(monkeypatch):
     # swap the levels of (1, 2) and (1, k), and of their mirror entries: the
-    # matrix stays symmetric, but column 2 no longer counts the intersection
-    # numbers of J(7, 3)
+    # matrix stays symmetric, but row 1 breaks the entry rule
     matrix = sdm.build(3, 4)
     rows = [list(row) for row in matrix.levels]
     k = next(c for c in range(3, matrix.n) if rows[1][c] != rows[1][2])
     rows[1][2], rows[1][k] = rows[1][k], rows[1][2]
     rows[2][1], rows[k][1] = rows[k][1], rows[2][1]
     tampered = replace(matrix, levels=tuple(map(tuple, rows)))
-    # row 1 keeps its counts, since columns 2 and k are at one level in row 0
-    assert _tie_failure(tampered.levels, _intersection_numbers(3, 4)) == (
-        "intersection numbers",
-        "column 2 at level 2 does not count p^2_vw",
+    assert _level_failure(3, 4, tampered.levels, _intersection_numbers(3, 4)) == (
+        "entry rule",
+        "row 1 is not x_{min(s,r)-f} cell by cell",
     )
     monkeypatch.setattr(sdm, "build", lambda s, r, max_size: tampered)
     report = verify_sdm_spectrum(3, 4, trials=1)
@@ -361,17 +373,78 @@ def test_certificate_rejects_tampered_level_matrix(monkeypatch):
 
 
 def test_certificate_rejects_relabelled_levels(monkeypatch):
-    # levels 0 and 1 swapped everywhere: the columns still agree with each
-    # other, as the relabelled numbers show, but they do not count J(7, 3)
+    # levels 0 and 1 swapped everywhere: J(7, 3) with two relations
+    # relabelled, so the counts match the relabelled numbers, but every cell
+    # at level 0 or 1 breaks the entry rule
     swap = [1, 0, 2, 3]
     matrix = sdm.build(3, 4)
     swapped = replace(matrix, levels=tuple(tuple(swap[v] for v in row) for row in matrix.levels))
     p = _intersection_numbers(3, 4)
     relabelled = [[[p[swap[u]][swap[v]][swap[w]] for w in range(4)] for v in range(4)] for u in range(4)]
-    assert _tie_failure(swapped.levels, relabelled) is None
-    assert _tie_failure(swapped.levels, p)[0] == "intersection numbers"
+    assert _level_failure(3, 4, swapped.levels, relabelled)[0] == "entry rule"
+    assert _level_failure(3, 4, swapped.levels, p)[0] == "entry rule"
+    # the built matrix does not count the relabelled numbers
+    assert _level_failure(3, 4, matrix.levels, relabelled) == (
+        "intersection numbers",
+        "column 31 at level 0 does not count p^0_vw",
+    )
     monkeypatch.setattr(sdm, "build", lambda s, r, max_size: swapped)
     assert not verify_sdm_spectrum(3, 4, trials=1).passed
+
+
+def test_level_check_rejects_a_wrong_side():
+    # rows past the side, or missing ones, would go unchecked by the entry rule
+    levels = sdm.build(2, 2).levels
+    p = _intersection_numbers(2, 2)
+    assert _level_failure(2, 2, levels + levels[:1], p) == ("entry rule", "side 7, want C(4,2) = 6")
+    assert _level_failure(2, 2, levels[:-1], p)[0] == "entry rule"
+
+
+def _in_row_swap(levels):
+    # row 1's cells in columns 1 and 2 exchanged; the two columns share a
+    # level in row 0, so every row keeps its counts against row 0
+    rows = [bytearray(row) for row in levels]
+    rows[1][1], rows[1][2] = rows[1][2], rows[1][1]
+    return rows
+
+
+def _switch(rows_cols):
+    # the level pairs on rows a, b and columns c, e exchanged, and their
+    # mirror cells too: every row and column keeps its levels, and c, e
+    # share a level in row 0, as do a, b
+    a, b, c, e = rows_cols
+
+    def tamper(levels):
+        rows = [bytearray(row) for row in levels]
+        assert rows[a][c] == rows[b][e] != rows[a][e] == rows[b][c]
+        for i, j, k in ((a, c, e), (b, c, e), (c, a, b), (e, a, b)):
+            rows[i][j], rows[i][k] = rows[i][k], rows[i][j]
+        return rows
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "s, r, tamper",
+    [
+        (2, 3, _in_row_swap),
+        (3, 4, _in_row_swap),
+        (2, 3, _switch((1, 2, 4, 5))),
+        (3, 4, _switch((1, 2, 5, 6))),
+    ],
+    ids=["in-row-2-3", "in-row-3-4", "switch-2-3", "switch-3-4"],
+)
+def test_certificate_rejects_matrices_that_keep_their_counts(monkeypatch, s, r, tamper):
+    # each tampered matrix keeps every row's joint counts against row 0, and
+    # its charpoly at x = (7, -3, 11[, 5]) differs from the closed form
+    matrix = sdm.build(s, r)
+    tampered = replace(matrix, levels=tuple(map(bytes, tamper(matrix.levels))))
+    assert _level_failure(s, r, tampered.levels, _intersection_numbers(s, r))[0] == "entry rule"
+    assert not _charpoly_agrees(
+        tampered, spectrum.distinct_eigenvalues(s, r), [7, -3, 11, 5][: matrix.min_level + 1]
+    )
+    monkeypatch.setattr(sdm, "build", lambda s, r, max_size: tampered)
+    assert not verify_sdm_spectrum(s, r, trials=1).passed
 
 
 @pytest.fixture
