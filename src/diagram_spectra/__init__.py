@@ -15,7 +15,7 @@ The package computes, entirely in integer arithmetic:
   determinants (oracle).
 """
 
-from .combinat import SetPartition, Subset, binomial, k_subsets, set_partitions, stirling2
+from .combinat import binomial, k_subsets, set_partitions, stirling2
 from .errors import SizeCapExceeded
 from .gram_partition import (
     BlockSpectrum,
@@ -55,10 +55,8 @@ __all__ = [
     "GramMatrix",
     "HalfDiagram",
     "Polynomial",
-    "SetPartition",
     "SignedBlockKey",
     "SizeCapExceeded",
-    "Subset",
     "VerifyReport",
     "binomial",
     "block_spectrum",

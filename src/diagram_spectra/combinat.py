@@ -15,16 +15,15 @@ set_partitions is the one set-partition enumerator. It steps from one
 restricted-growth string to the next in place, with no recursion, so any
 number of points works; the Gram certificate counts its coarsenings instead.
 
-All counts are Python ints, so nothing overflows. The enumerators build
-their Subset and SetPartition values through `unchecked`, since each is valid
-by construction; the public constructors still validate.
+Both enumerators return plain int tuples: a k-subset as its sorted
+elements, a set partition as its restricted-growth string. All counts are
+Python ints, so nothing overflows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 
 def binomial(n: int, k: int) -> int:
@@ -73,36 +72,9 @@ def _stirling2_near_diagonal(n: int, j: int) -> int:
     return sum(e * math.comb(n + j - 1 - i, 2 * j) for i, e in enumerate(row))
 
 
-def unchecked(cls, *values):
-    """cls(*values) for a frozen dataclass, skipping its __post_init__
-    check: for enumerators whose output is valid by construction."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-@dataclass(frozen=True)
-class Subset:
-    """A sorted subset of {1..n}, used to index matrix rows."""
-
-    elements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(e < 1 for e in self.elements):
-            raise ValueError(f"Subset elements must be positive: {self.elements}")
-        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
-            raise ValueError(f"Subset must be strictly increasing: {self.elements}")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, e: int) -> bool:
-        return e in self.elements
-
-
-def k_subsets(n: int, k: int) -> list[Subset]:
-    """All k-element subsets of {1..n} in lexicographic order.
+def k_subsets(n: int, k: int) -> list[tuple[int, ...]]:
+    """All k-element subsets of {1..n} in lexicographic order, each as the
+    strictly increasing tuple of its elements.
 
     This order is load-bearing: it fixes row and column indexing of every
     matrix built downstream.
@@ -112,51 +84,17 @@ def k_subsets(n: int, k: int) -> list[Subset]:
     if k > n:
         raise ValueError(f"k_subsets: k={k} exceeds n={n}")
     # itertools.combinations of an ascending range is already lexicographic
-    return [unchecked(Subset, c) for c in itertools.combinations(range(1, n + 1), k)]
+    return list(itertools.combinations(range(1, n + 1), k))
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """Set partition of {1..n} in restricted-growth form.
+def set_partitions(n: int, b: int) -> list[tuple[int, ...]]:
+    """All partitions of {1..n} into exactly b blocks, RGS-lexicographic.
 
-    block_assignment[i] is the block label of point i+1. Labels start at 0
-    for point 1 and a new label is always exactly one more than the maximum
-    seen so far, which makes the string a canonical name for the partition.
+    Each is its restricted-growth string: entry i is the block label of
+    point i+1, labels start at 0 for point 1, and a new label is always one
+    past the largest seen so far, which makes the string a canonical name
+    for the partition.
     """
-
-    block_assignment: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        mx = -1
-        for lab in self.block_assignment:
-            if lab < 0 or lab > mx + 1:
-                raise ValueError(
-                    f"not a restricted-growth string: {self.block_assignment}"
-                )
-            mx = max(mx, lab)
-
-    @property
-    def n(self) -> int:
-        return len(self.block_assignment)
-
-    @property
-    def block_count(self) -> int:
-        return max(self.block_assignment) + 1 if self.block_assignment else 0
-
-    def blocks(self) -> list[tuple[int, ...]]:
-        """Blocks as sorted point tuples, ordered by block label (= order of
-        first appearance)."""
-        out: list[list[int]] = [[] for _ in range(self.block_count)]
-        for pt, lab in enumerate(self.block_assignment, start=1):
-            out[lab].append(pt)
-        return [tuple(b) for b in out]
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.block_assignment)
-
-
-def set_partitions(n: int, b: int) -> list[SetPartition]:
-    """All partitions of {1..n} into exactly b blocks, RGS-lexicographic."""
     if n < 1 or b < 1:
         raise ValueError(f"set_partitions: need n, b >= 1, got ({n}, {b})")
     if b > n:
@@ -165,7 +103,7 @@ def set_partitions(n: int, b: int) -> list[SetPartition]:
     labels = [0] * (n - b + 1) + list(range(1, b))
     # tops[i] is the largest label before position i
     tops = list(itertools.accumulate(labels, max, initial=-1))
-    out = [unchecked(SetPartition, tuple(labels))]
+    out = [tuple(labels)]
     while True:
         # the last position i whose label can grow by one: to at most one
         # past the labels before it and below b, leaving the b - 1 - top
@@ -185,4 +123,4 @@ def set_partitions(n: int, b: int) -> list[SetPartition]:
         zeros = n - 1 - i - len(fresh)
         labels[i:] = [lab] + [0] * zeros + list(fresh)
         tops[i + 1 :] = [top] * (zeros + 1) + list(fresh)
-        out.append(unchecked(SetPartition, tuple(labels)))
+        out.append(tuple(labels))

@@ -69,15 +69,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .combinat import (
-    SetPartition,
-    Subset,
-    binomial,
-    k_subsets,
-    set_partitions,
-    stirling2,
-    unchecked,
-)
+from .combinat import binomial, k_subsets, set_partitions, stirling2
 from .errors import SizeCapExceeded
 from .poly import X, ZERO, Polynomial, factor_product
 from .spectrum import multiplicities
@@ -87,15 +79,25 @@ DEFAULT_MAX_SIZE = 3000
 
 @dataclass(frozen=True)
 class HalfDiagram:
-    partition: SetPartition
-    through_blocks: Subset
+    """A set partition of {1..k} with some of its blocks marked as through
+    classes. partition is the restricted-growth string of set_partitions,
+    entry i the block label of point i+1; through_blocks are the 1-based
+    labels of the through blocks, strictly increasing."""
+
+    partition: tuple[int, ...]
+    through_blocks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        nb = self.partition.block_count
-        if self.through_blocks.elements and self.through_blocks.elements[-1] > nb:
-            raise ValueError(
-                f"through block index {self.through_blocks.elements[-1]} exceeds {nb} blocks"
-            )
+        # a restricted-growth string opens its labels in the order 0, 1, ...
+        opened = tuple(dict.fromkeys(self.partition))
+        nb = len(opened)
+        if opened != tuple(range(nb)):
+            raise ValueError(f"not a restricted-growth string: {self.partition}")
+        thr = self.through_blocks
+        if thr and (thr[0] < 1 or sorted(set(thr)) != list(thr)):
+            raise ValueError(f"through blocks must be strictly increasing from 1: {thr}")
+        if thr and thr[-1] > nb:
+            raise ValueError(f"through block index {thr[-1]} exceeds {nb} blocks")
 
     @property
     def s(self) -> int:
@@ -103,16 +105,16 @@ class HalfDiagram:
 
     @property
     def r(self) -> int:
-        return self.partition.block_count - self.s
+        return max(self.partition, default=-1) + 1 - self.s
 
     def __str__(self) -> str:
-        blocks = self.partition.blocks()
-        parts = []
-        for idx, blk in enumerate(blocks, start=1):
-            body = ",".join(str(p) for p in blk)
-            mark = "*" if idx in self.through_blocks else ""
-            parts.append("{" + body + "}" + mark)
-        return "".join(parts)
+        blocks: list[list[str]] = [[] for _ in range(self.s + self.r)]
+        for pt, lab in enumerate(self.partition, start=1):
+            blocks[lab].append(str(pt))
+        return "".join(
+            "{" + ",".join(blk) + "}" + ("*" if idx in self.through_blocks else "")
+            for idx, blk in enumerate(blocks, start=1)
+        )
 
 
 # every golden, test and bench shape is far under; (3000, 2990) counts 506,
@@ -164,7 +166,7 @@ def enumerate_half_diagrams(k: int, s: int) -> list[HalfDiagram]:
         choices = k_subsets(nb, s)
         for part in set_partitions(k, nb):
             for thr in choices:
-                out.append(unchecked(HalfDiagram, part, thr))
+                out.append(HalfDiagram(part, thr))
     return out
 
 
@@ -213,12 +215,11 @@ def build_gram(k: int, s: int, max_size: int = DEFAULT_MAX_SIZE) -> GramMatrix:
     parts: list[tuple[int, ...]] = []  # partitions by id
     runs = []  # per run: each block's first point, each row's through blocks
     steps = []  # per run: its parent and the points x, y merged
-    for p, run in itertools.groupby(enumerate(diagrams), key=lambda e: e[1].partition):
-        labels = p.block_assignment
+    for labels, run in itertools.groupby(enumerate(diagrams), key=lambda e: e[1].partition):
         tops = list(itertools.accumulate(labels, max, initial=-1))
         firsts = [j for j in range(k) if labels[j] > tops[j]]
         parts.append(labels)
-        runs.append((firsts, [(i, [t - 1 for t in d.through_blocks.elements]) for i, d in run]))
+        runs.append((firsts, [(i, [t - 1 for t in d.through_blocks]) for i, d in run]))
         if len(firsts) < k:
             # the parent splits off y, the last point that shares a block
             # with an earlier one; every point after y opens a block

@@ -415,7 +415,7 @@ def verify_sdm_spectrum(
             got = charpoly(sdm.substitute(matrix, values), max_size=max_size)
             expected = ONE
             for e, f in zip(eigs, forms):
-                expected = expected * Polynomial.x_minus(e).pow(f.multiplicity)
+                expected = expected * Polynomial.x_minus_pow(e, f.multiplicity)
             if got != expected:
                 failures.append(
                     {

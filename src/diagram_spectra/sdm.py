@@ -126,7 +126,7 @@ def build(s: int, r: int, max_size: int = DEFAULT_MAX_SIZE) -> EntryMatrix:
     # byte j of packed[e - 1] is 1 when column j's through set holds e
     columns = [bytearray(n) for _ in range(s + r)]
     for j, t in enumerate(through):
-        for e in t.elements:
+        for e in t:
             columns[e - 1][j] = 1
     packed = [int.from_bytes(col, "little") for col in columns]
     # byte j of a row's sum is |through_i cap through_j|, and of the row
@@ -134,7 +134,7 @@ def build(s: int, r: int, max_size: int = DEFAULT_MAX_SIZE) -> EntryMatrix:
     # are exact and the final bytes are levels, so nothing is lost
     bias = (s - min(s, r)) * int.from_bytes(b"\x01" * n, "little")
     rows = tuple(
-        (sum([packed[e - 1] for e in t.elements]) - bias).to_bytes(n, "little")
+        (sum([packed[e - 1] for e in t]) - bias).to_bytes(n, "little")
         for t in through
     )
     return EntryMatrix(s=s, r=r, n=n, levels=rows)

@@ -2,14 +2,7 @@ import itertools
 
 import pytest
 
-from diagram_spectra.combinat import (
-    SetPartition,
-    Subset,
-    binomial,
-    k_subsets,
-    set_partitions,
-    stirling2,
-)
+from diagram_spectra.combinat import binomial, k_subsets, set_partitions, stirling2
 from diagram_spectra.gram_partition import HalfDiagram, enumerate_half_diagrams
 
 
@@ -72,11 +65,11 @@ def test_stirling2_equals_the_recurrence_table():
 
 
 def test_k_subsets_examples():
-    assert [s.elements for s in k_subsets(2, 1)] == [(1,), (2,)]
-    assert [s.elements for s in k_subsets(4, 2)] == [
+    assert k_subsets(2, 1) == [(1,), (2,)]
+    assert k_subsets(4, 2) == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
     ]
-    assert [s.elements for s in k_subsets(3, 3)] == [(1, 2, 3)]
+    assert k_subsets(3, 3) == [(1, 2, 3)]
 
 
 def test_k_subsets_rejects_k_above_n():
@@ -90,34 +83,23 @@ def test_k_subsets_counts_and_rank_roundtrip():
             subs = k_subsets(n, k)
             assert len(subs) == binomial(n, k)
             # emitted order is the rank: position i recovers the i-th subset
-            index = {s.elements: i for i, s in enumerate(subs)}
+            index = {s: i for i, s in enumerate(subs)}
             for i, s in enumerate(subs):
-                assert index[s.elements] == i
+                assert index[s] == i
             assert sorted(index.values()) == list(range(len(subs)))
 
 
 def test_k_subsets_lexicographic():
     for n in range(1, 9):
         for k in range(1, n + 1):
-            elems = [s.elements for s in k_subsets(n, k)]
+            elems = k_subsets(n, k)
             assert elems == sorted(elems)
 
 
-def test_subset_validation():
-    with pytest.raises(ValueError):
-        Subset((2, 1))
-    with pytest.raises(ValueError):
-        Subset((0, 1))
-    with pytest.raises(ValueError):
-        Subset((1, 1))
-
-
 def test_set_partitions_examples():
-    assert [str(p) for p in set_partitions(2, 2)] == ["01"]
-    assert [str(p) for p in set_partitions(2, 1)] == ["00"]
-    assert [str(p) for p in set_partitions(3, 2)] == ["001", "010", "011"]
-    # blocks of 001 are {1,2} and {3}
-    assert set_partitions(3, 2)[0].blocks() == [(1, 2), (3,)]
+    assert set_partitions(2, 2) == [(0, 1)]
+    assert set_partitions(2, 1) == [(0, 0)]
+    assert set_partitions(3, 2) == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
 
 
 def test_set_partitions_counts_and_order():
@@ -125,16 +107,15 @@ def test_set_partitions_counts_and_order():
         for b in range(1, n + 1):
             parts = set_partitions(n, b)
             assert len(parts) == stirling2(n, b)
-            strings = [p.block_assignment for p in parts]
-            assert strings == sorted(strings)
-            assert len(set(strings)) == len(strings)
+            assert parts == sorted(parts)
+            assert len(set(parts)) == len(parts)
             for p in parts:
-                assert p.block_count == b
+                assert max(p) + 1 == b
 
 
 def test_set_partitions_many_points():
     # one step per point, far past the interpreter's recursion limit
-    assert [p.block_assignment for p in set_partitions(1200, 1200)] == [tuple(range(1200))]
+    assert set_partitions(1200, 1200) == [tuple(range(1200))]
 
 
 def test_set_partitions_matches_brute_force():
@@ -149,7 +130,7 @@ def test_set_partitions_matches_brute_force():
         ]
         for b in range(1, n + 1):
             want = [labels for labels in strings if len(set(labels)) == b]
-            assert [p.block_assignment for p in set_partitions(n, b)] == want, (n, b)
+            assert set_partitions(n, b) == want, (n, b)
 
 
 def test_set_partitions_rejections():
@@ -159,34 +140,33 @@ def test_set_partitions_rejections():
         set_partitions(2, 0)
 
 
-def test_set_partition_rgs_validation():
-    with pytest.raises(ValueError):
-        SetPartition((1, 0))
-    with pytest.raises(ValueError):
-        SetPartition((0, 2))
-
-
-def test_enumerators_skip_the_check_but_public_constructors_keep_it():
-    # enumerated values equal validated ones, field for field and by hash
-    for n in range(1, 8):
-        for b in range(1, n + 1):
-            for p in set_partitions(n, b):
-                assert p == SetPartition(p.block_assignment)
-                assert hash(p) == hash(SetPartition(p.block_assignment))
-        for k in range(n + 1):
-            for t in k_subsets(n, k):
-                assert t == Subset(t.elements)
-    for k in range(1, 5):
+def test_half_diagrams_are_the_enumerated_tuples_and_the_constructor_validates():
+    # enumerate_half_diagrams pairs each set_partitions string with each
+    # k_subsets choice of through blocks, r-major, as plain int tuples
+    for k in range(1, 6):
         for s in range(k + 1):
-            for d in enumerate_half_diagrams(k, s):
-                valid = HalfDiagram(
-                    SetPartition(d.partition.block_assignment), Subset(d.through_blocks.elements)
-                )
-                assert d == valid and hash(d) == hash(valid)
-    # the public constructors still validate
-    with pytest.raises(ValueError, match="restricted-growth"):
-        SetPartition((0, 2, 1))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Subset((3, 2))
-    with pytest.raises(ValueError, match="exceeds 2 blocks"):
-        HalfDiagram(SetPartition((0, 1)), Subset((3,)))
+            want = [
+                (p, t)
+                for b in range(max(s, 1), k + 1)
+                for p in set_partitions(k, b)
+                for t in k_subsets(b, s)
+            ]
+            got = [(d.partition, d.through_blocks) for d in enumerate_half_diagrams(k, s)]
+            assert got == want, (k, s)
+            assert all(type(lab) is int for p, t in got for lab in p + t)
+    # the public constructor validates: the partition is a restricted-growth
+    # string, the through blocks strictly increase from 1 and stay within
+    # the block count
+    for partition, through, match in [
+        ((0, 2, 1), (), "restricted-growth"),
+        ((1, 0), (), "restricted-growth"),
+        ((0, 2), (), "restricted-growth"),
+        ((0, -1), (), "restricted-growth"),
+        ((0, 1, 2), (3, 2), "strictly increasing"),
+        ((0, 1), (2, 1), "strictly increasing"),
+        ((0, 1), (0, 1), "strictly increasing"),
+        ((0, 1), (1, 1), "strictly increasing"),
+        ((0, 1), (3,), "exceeds 2 blocks"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            HalfDiagram(partition, through)

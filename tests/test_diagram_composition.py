@@ -166,8 +166,8 @@ def test_build_gram_entries_match_composition(k, s):
     g = build_gram(k, s)
     rows = []
     for d in g.diagrams:
-        blocks = [[p - 1 for p in blk] for blk in d.partition.blocks()]
-        through = [blocks[t - 1] for t in d.through_blocks.elements]
+        blocks = [[p for p, lab in enumerate(d.partition) if lab == b] for b in range(d.s + d.r)]
+        through = [blocks[t - 1] for t in d.through_blocks]
         rows.append(index[_key(blocks, through)])
     assert sorted(rows) == list(range(len(halves)))
     for i, ri in enumerate(rows):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -26,6 +27,32 @@ def test_enumerate_2_1():
     # then r=1: {1}{2} with each through choice
     assert str(diags[1]) == "{1}*{2}"
     assert str(diags[2]) == "{1}{2}*"
+
+
+def test_half_diagram_names():
+    assert [str(d) for d in enumerate_half_diagrams(3, 1)] == [
+        "{1,2,3}*", "{1,2}*{3}", "{1,2}{3}*", "{1,3}*{2}", "{1,3}{2}*",
+        "{1}*{2,3}", "{1}{2,3}*", "{1}*{2}{3}", "{1}{2}*{3}", "{1}{2}{3}*",
+    ]
+    # every name parses back into its blocks in label order, the through
+    # blocks starred
+    for k in range(1, 7):
+        for s in range(k + 1):
+            for d in enumerate_half_diagrams(k, s):
+                name = str(d)
+                assert re.fullmatch(r"(\{\d+(,\d+)*\}\*?)+", name), name
+                parsed = [
+                    (tuple(map(int, body.split(","))), star == "*")
+                    for body, star in re.findall(r"\{([\d,]+)\}(\*?)", name)
+                ]
+                blocks = {}
+                for pt, lab in enumerate(d.partition, start=1):
+                    blocks.setdefault(lab, []).append(pt)
+                want = [
+                    (tuple(blocks[lab]), lab + 1 in d.through_blocks) for lab in sorted(blocks)
+                ]
+                assert parsed == want, name
+                assert sum(star for _, star in parsed) == d.s and len(parsed) == d.s + d.r
 
 
 def test_enumerate_counts():

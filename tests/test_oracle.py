@@ -620,11 +620,11 @@ def _z_entry(row, column):
     # Z[(t,T),(p,P)] = 1 when p refines t and the blocks P land on s
     # distinct blocks of t, exactly T
     image = {}
-    for a, b in zip(column.partition.block_assignment, row.partition.block_assignment):
+    for a, b in zip(column.partition, row.partition):
         if image.setdefault(a, b) != b:
             return 0
-    landed = {image[e - 1] + 1 for e in column.through_blocks.elements}
-    return int(landed == set(row.through_blocks.elements))
+    landed = {image[e - 1] + 1 for e in column.through_blocks}
+    return int(landed == set(row.through_blocks))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -670,18 +670,15 @@ def _cell_failure(g):
     _join, and each row the set of join blocks its through blocks land on."""
     entry = functools.cache(lambda c, o: congruence_entry(g.s, c, o))
     runs = [
-        (p.block_assignment, list(rows))
+        (p, list(rows))
         for p, rows in itertools.groupby(range(g.n), key=lambda i: g.diagrams[i].partition)
     ]
     for a, (labels_p, rows_p) in enumerate(runs):
         for labels_q, rows_q in runs[a:]:
             c, land_p, land_q = _join(labels_p, labels_q)
-            landed_q = [
-                (j, {land_q[t - 1] for t in g.diagrams[j].through_blocks.elements})
-                for j in rows_q
-            ]
+            landed_q = [(j, {land_q[t - 1] for t in g.diagrams[j].through_blocks}) for j in rows_q]
             for i in rows_p:
-                landed = {land_p[t - 1] for t in g.diagrams[i].through_blocks.elements}
+                landed = {land_p[t - 1] for t in g.diagrams[i].through_blocks}
                 for j, other in landed_q:
                     if len(landed) == g.s == len(other):
                         want = entry(c, len(landed & other))
@@ -728,9 +725,7 @@ def _brute_congruence_entry(s, c, o, partitions):
 @pytest.mark.parametrize("c", range(1, 10))
 def test_congruence_entry_counts_the_coarsenings(c):
     # the counted sum against the enumerated one, for every join type
-    partitions = [
-        t.block_assignment for b in range(1, c + 1) for t in combinat.set_partitions(c, b)
-    ]
+    partitions = [t for b in range(1, c + 1) for t in combinat.set_partitions(c, b)]
     for s in range(c + 1):
         for o in range(max(0, 2 * s - c), s + 1):
             want = _brute_congruence_entry(s, c, o, partitions)

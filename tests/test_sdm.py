@@ -14,7 +14,7 @@ import pytest
 
 from diagram_spectra import sdm
 
-from diagram_spectra.combinat import Subset, binomial, k_subsets
+from diagram_spectra.combinat import binomial, k_subsets
 from diagram_spectra.errors import SizeCapExceeded
 from diagram_spectra.sdm import _block_table, _memo_depth, _spans, build, substitute
 
@@ -147,7 +147,7 @@ def test_shape_laws(s, r):
 )
 def test_entry_rule(s, r):
     # levels[i][j] = min(s,r) - s + |T_i cap T_j|, T_i in lexicographic order
-    throughs = [set(Subset(t).elements) for t in itertools.combinations(range(1, s + r + 1), s)]
+    throughs = [set(t) for t in itertools.combinations(range(1, s + r + 1), s)]
     levels = build(s, r).levels
     assert levels == tuple(
         bytes(min(s, r) - s + len(ti & tj) for tj in throughs) for ti in throughs
@@ -161,7 +161,7 @@ def test_duality_via_complement(s, r):
     m_sr = build(s, r)
     m_rs = build(r, s)
     n = s + r
-    pos_rs = {sub.elements: i for i, sub in enumerate(k_subsets(n, r))}
+    pos_rs = {sub: i for i, sub in enumerate(k_subsets(n, r))}
     sigma = [
         pos_rs[tuple(e for e in range(1, n + 1) if e not in sub)] for sub in k_subsets(n, s)
     ]
