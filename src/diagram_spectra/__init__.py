@@ -29,7 +29,6 @@ from .gram_partition import (
     x_substitution_poly,
 )
 from .gram_signed_z2 import (
-    SignedBlockKey,
     block_spectrum_tensor,
     build_exceptional_block,
     x_e_poly,
@@ -55,7 +54,6 @@ __all__ = [
     "GramMatrix",
     "HalfDiagram",
     "Polynomial",
-    "SignedBlockKey",
     "SizeCapExceeded",
     "VerifyReport",
     "binomial",

@@ -345,13 +345,14 @@ def semisimple_exceptions(k: int, s: int) -> set[int]:
     """Integer x at which det G_s vanishes: the roots of the linear factors
     of every E_{r,l} == product_form(s, r, l), as oracle.verify_gram_det
     certifies. Each occurs in the det: its multiplicity stirling2(k,s+r) *
-    (C(s+r,l) - C(s+r,l-1)) is positive for l <= min(s,r) and s+r >= 1."""
+    (C(s+r,l) - C(s+r,l-1)) is positive for l <= min(s,r) and s+r >= 1.
+
+    E_{r,l} has the roots s-1+i for i < l and 2s+j for j < r-l, two runs
+    that each start at a fixed point, so the union over r <= k-s and
+    l <= min(s,r) is the longest of each run: l is at most min(s, k-s), and
+    r-l at most k-s, reached at l = 0."""
     _check_shape(k, s)
-    roots: set[int] = set()
-    for r in range(k - s + 1):
-        for l in range(min(s, r) + 1):
-            roots.update(product_form_roots(s, r, l))
-    return roots
+    return set(range(s - 1, s - 1 + min(s, k - s))) | set(range(2 * s, s + k))
 
 
 def to_json_dict(

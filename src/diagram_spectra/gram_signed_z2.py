@@ -24,11 +24,13 @@ they aggregate.
 
 Block ranges, with K = k - s1 - s2: Z2-relations mode allows
 0 <= r1, r2 <= K; signed mode additionally requires r2 <= K - 1.
-_block_ranges is the one place that states this rule and its errors, for
-SignedBlockKey.validate and block_spectra alike. block_spectra, which
-to_json_dict and the CLI's csv and table read, counts the coefficients the
-report would hold from the shape alone, in closed form, and raises
-SizeCapExceeded past MAX_REPORT_COEFFS before forming any polynomial.
+_block_ranges states this rule and its errors, and block_spectra, which
+to_json_dict and the CLI's csv and table read, is its one caller. A tensor
+block's spectrum depends on (s1, r1, s2, r2) alone, so block_spectrum_tensor
+takes just those and checks only that none is negative. block_spectra
+counts the coefficients the report would hold from the shape alone, in
+closed form, and raises SizeCapExceeded past MAX_REPORT_COEFFS before
+forming any polynomial.
 
 The signed case has one extra block with no tensor structure, built by
 build_exceptional_block: it collects the diagrams whose underlying partition
@@ -43,7 +45,6 @@ offered for this block; use the oracle's determinant on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import SizeCapExceeded
 from .gram_partition import MAX_REPORT_COEFFS, family_sums, product_form, product_form_roots
@@ -80,47 +81,50 @@ def _block_ranges(k: int, s1: int, s2: int, mode: str) -> tuple[int, int]:
     return cap, cap - 1 if mode == "signed" else cap
 
 
-@dataclass(frozen=True)
-class SignedBlockKey:
-    k: int
-    s1: int
-    s2: int
-    r1: int
-    r2: int
-
-    def validate(self, mode: str) -> None:
-        cap, r2_cap = _block_ranges(self.k, self.s1, self.s2, mode)
-        if not 0 <= self.r1 <= cap:
-            raise ValueError(f"r1={self.r1} out of range 0..{cap}")
-        if not 0 <= self.r2 <= r2_cap:
-            raise ValueError(f"r2={self.r2} out of range 0..{r2_cap} in {mode} mode")
-
-
 def block_spectrum_tensor(
-    key: SignedBlockKey, mode: str
+    s1: int, r1: int, s2: int, r2: int
 ) -> list[tuple[int, int, Polynomial, int]]:
-    """Per-copy spectrum of one tensor block: (l1, l2, eigenpoly, mult)."""
-    key.validate(mode)
+    """Per-copy spectrum of the tensor block of A^{s1+r1,s1} and
+    A^{s2+r2,s2}: (l1, l2, eigenpoly, mult). It depends on these four
+    numbers alone; which (r1, r2) a mode admits is block_spectra's rule.
+    Raises ValueError if any argument is negative."""
+    if min(s1, r1, s2, r2) < 0:
+        raise ValueError(f"need s1, r1, s2, r2 >= 0, got {s1}, {r1}, {s2}, {r2}")
     e_fam = [
-        factor_product(map(_quadratic_factor, product_form_roots(key.s1, key.r1, l)))
-        for l in range(min(key.s1, key.r1) + 1)
+        factor_product(map(_quadratic_factor, product_form_roots(s1, r1, l)))
+        for l in range(min(s1, r1) + 1)
     ]
-    z_fam = [product_form(key.s2, key.r2, l) for l in range(min(key.s2, key.r2) + 1)]
+    z_fam = [product_form(s2, r2, l) for l in range(min(s2, r2) + 1)]
     return [
         (l1, l2, p1 * p2, m1 * m2)
-        for l1, (p1, m1) in enumerate(zip(e_fam, multiplicities(key.s1, key.r1)))
-        for l2, (p2, m2) in enumerate(zip(z_fam, multiplicities(key.s2, key.r2)))
+        for l1, (p1, m1) in enumerate(zip(e_fam, multiplicities(s1, r1)))
+        for l2, (p2, m2) in enumerate(zip(z_fam, multiplicities(s2, r2)))
     ]
+
+
+def _exceptional_cap(k: int, s1: int, s2: int) -> int:
+    """K = k - s1 - s2 for the exceptional block. Raises ValueError on a
+    negative parameter or K < 1."""
+    if min(k, s1, s2) < 0:
+        raise ValueError("all parameters must be nonnegative")
+    cap = k - s1 - s2
+    if cap < 1:
+        raise ValueError(f"need s1+s2 < k, got s1+s2={s1 + s2}, k={k}")
+    return cap
+
+
+def _exceptional_diag(s1: int, s2: int, cap: int, rp1: int, run: Polynomial) -> Polynomial:
+    """prod_{j<rp1}(x^2-x-2(s1+j)) * X_{s2,K-rp1,0} + run, K = cap."""
+    head = factor_product(_quadratic_factor(s1 + j) for j in range(rp1))
+    return head * x_z2_poly(s2, cap - rp1, 0) + run
 
 
 def exceptional_diag_poly(k: int, s1: int, s2: int, rp1: int) -> Polynomial:
     """Diagonal entry of the exceptional signed block for e-pair count rp1."""
-    cap = k - s1 - s2
+    cap = _exceptional_cap(k, s1, s2)
     if not (1 <= rp1 <= cap):
         raise ValueError(f"rp1={rp1} out of range 1..{cap}")
-    rp2 = cap - rp1
-    head = factor_product(_quadratic_factor(s1 + j) for j in range(rp1))
-    return head * x_z2_poly(s2, rp2, 0) + x_z2_poly(s2, cap, 0)
+    return _exceptional_diag(s1, s2, cap, rp1, x_z2_poly(s2, cap, 0))
 
 
 def build_exceptional_block(k: int, s1: int, s2: int) -> list[list[Polynomial]]:
@@ -132,24 +136,15 @@ def build_exceptional_block(k: int, s1: int, s2: int) -> list[list[Polynomial]]:
     because the shared singleton through classes keep the propagating number
     at its maximum between any two diagrams of this block.
     """
-    if min(k, s1, s2) < 0:
-        raise ValueError("all parameters must be nonnegative")
-    cap = k - s1 - s2
-    if cap < 1:
-        raise ValueError(f"need s1+s2 < k, got s1+s2={s1 + s2}, k={k}")
+    cap = _exceptional_cap(k, s1, s2)
     run = x_z2_poly(s2, cap, 0)
+    signed_run = (run, run.scale(-1))
+    diag = [_exceptional_diag(s1, s2, cap, rp1, run) for rp1 in range(1, cap + 1)]
     row_rp1 = [rp1 for rp1 in range(1, cap + 1) for _ in (0, 1)]
-    n = 2 * cap
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(exceptional_diag_poly(k, s1, s2, row_rp1[i]))
-            else:
-                row.append(run.scale((-1) ** (row_rp1[i] + row_rp1[j])))
-        out.append(row)
-    return out
+    return [
+        [diag[a - 1] if i == j else signed_run[(a + b) % 2] for j, b in enumerate(row_rp1)]
+        for i, a in enumerate(row_rp1)
+    ]
 
 
 def _report_coeffs(s1: int, s2: int, cap: int, r2_cap: int) -> int:
@@ -174,7 +169,7 @@ def block_spectra(
     if coeffs > MAX_REPORT_COEFFS:
         raise SizeCapExceeded(f"gram {mode} report coefficients", coeffs, MAX_REPORT_COEFFS)
     return [
-        (r1, r2, block_spectrum_tensor(SignedBlockKey(k=k, s1=s1, s2=s2, r1=r1, r2=r2), mode))
+        (r1, r2, block_spectrum_tensor(s1, r1, s2, r2))
         for r1 in range(cap + 1)
         for r2 in range(r2_cap + 1)
     ]

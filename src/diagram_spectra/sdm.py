@@ -57,13 +57,16 @@ from .combinat import binomial, k_subsets
 from .errors import SizeCapExceeded
 
 # a side of 4000 is 16 M cells; memory grows as the side squared, one byte
-# per cell here, but under --out json the CLI's JSON rows take an 8-byte
-# pointer per cell (csv and pretty-table read the bytes rows), and
-# `substitute` 8 bytes per cell plus its memo's distinct segments (about 0.2
-# byte per cell at side 3003), so the cap stays where those fit
-# (build(7, 7), side 3432, peaks at about 27 MB of which 16 MB is the
-# interpreter), and the largest side built in practice is 3003; the same cap
-# bounds the s + r points, checked before the side
+# per cell here and `substitute` 8 bytes per cell plus its memo's distinct
+# segments (about 0.2 byte per cell at side 3003); build(7, 7), side 3432,
+# peaks at about 27 MB of which 16 MB is the interpreter. csv and
+# pretty-table read the bytes rows, but --out json runs json's pure-Python
+# encoder (indent=2) over lists of ints: the CLI process peaks at about 88
+# bytes per cell, 1.03 GB for `sdm build --s 7 --r 7 --out json` (106 MB of
+# output; the child's own peak RSS, one subprocess on a 2-core host) against
+# 129 MB under csv, so about 1.4 GB at the cap at that rate. The largest
+# side built in practice is 3003; the same cap bounds the s + r points,
+# checked before the side
 DEFAULT_MAX_SIZE = 4000
 
 # below this side the block memo gains little or nothing: timed against the

@@ -26,7 +26,6 @@ from diagram_spectra.gram_partition import (
     x_substitution_poly,
 )
 from diagram_spectra.gram_signed_z2 import (
-    SignedBlockKey,
     block_spectrum_tensor,
     x_e_poly,
     x_z2_poly,
@@ -179,10 +178,7 @@ def test_criterion_7_tensor_spectra():
                     size = binomial(s1 + r1, s1) * binomial(s2 + r2, s2)
                     if size > 36:
                         continue
-                    key = SignedBlockKey(
-                        k=s1 + s2 + r1 + r2, s1=s1, s2=s2, r1=r1, r2=r2
-                    )
-                    spec = block_spectrum_tensor(key, "z2")
+                    spec = block_spectrum_tensor(s1, r1, s2, r2)
                     assert sum(m for _, _, _, m in spec) == size
                     for _ in range(3):
                         point = rng.randint(-9, 9)

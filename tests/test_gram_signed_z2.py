@@ -1,10 +1,11 @@
 import pytest
 
+from diagram_spectra import gram_signed_z2
 from diagram_spectra.gram_partition import block_spectrum, x_substitution_poly
 from diagram_spectra.gram_signed_z2 import (
-    SignedBlockKey,
     _block_ranges,
     _report_coeffs,
+    block_spectra,
     block_spectrum_tensor,
     build_exceptional_block,
     exceptional_diag_poly,
@@ -45,8 +46,8 @@ def test_tensor_families_are_the_eberlein_sums():
     for s in range(13):
         for r in range(13):
             mults = multiplicities(s, r)
-            e_only = block_spectrum_tensor(SignedBlockKey(k=s + r, s1=s, s2=0, r1=r, r2=0), "z2")
-            z2_only = block_spectrum_tensor(SignedBlockKey(k=s + r, s1=0, s2=s, r1=0, r2=r), "z2")
+            e_only = block_spectrum_tensor(s, r, 0, 0)
+            z2_only = block_spectrum_tensor(0, 0, s, r)
             want = [(l, p, mults[l]) for l, p in _e_family(s, r)]
             assert [(l1, p, m) for l1, _, p, m in e_only] == want, (s, r)
             want = [(l, p, mults[l]) for l, p in _z2_family(s, r)]
@@ -123,16 +124,16 @@ def test_z2_family_matches_partition_blocks():
 
 
 def test_validate_and_report_share_one_range_rule():
-    with pytest.raises(ValueError) as key_exc:
-        SignedBlockKey(k=2, s1=-1, s2=0, r1=0, r2=0).validate("signed")
+    with pytest.raises(ValueError) as blocks_exc:
+        block_spectra(2, -1, 0, "signed")
     with pytest.raises(ValueError) as report_exc:
         to_json_dict(2, -1, 0, "signed")
-    assert str(key_exc.value) == str(report_exc.value) == "invalid parameters k=2, s1=-1, s2=0"
-    with pytest.raises(ValueError) as key_exc:
-        SignedBlockKey(k=2, s1=0, s2=0, r1=0, r2=0).validate("plain")
+    assert str(blocks_exc.value) == str(report_exc.value) == "invalid parameters k=2, s1=-1, s2=0"
+    with pytest.raises(ValueError) as blocks_exc:
+        block_spectra(2, 0, 0, "plain")
     with pytest.raises(ValueError) as report_exc:
         to_json_dict(2, 0, 0, "plain")
-    assert str(key_exc.value) == str(report_exc.value)
+    assert str(blocks_exc.value) == str(report_exc.value)
 
 
 @pytest.mark.parametrize("mode", ["z2", "signed"])
@@ -147,23 +148,29 @@ def test_report_coeffs_counts_the_emitted_coefficients(mode):
 
 
 def test_validate_ranges():
-    SignedBlockKey(k=3, s1=1, s2=0, r1=2, r2=2).validate("z2")
-    with pytest.raises(ValueError):
-        SignedBlockKey(k=3, s1=1, s2=0, r1=2, r2=2).validate("signed")
-    SignedBlockKey(k=3, s1=1, s2=0, r1=2, r2=1).validate("signed")
-    with pytest.raises(ValueError):
-        SignedBlockKey(k=3, s1=1, s2=0, r1=3, r2=0).validate("z2")
-    with pytest.raises(ValueError):
-        SignedBlockKey(k=2, s1=2, s2=1, r1=0, r2=0).validate("z2")
-    with pytest.raises(ValueError):
-        SignedBlockKey(k=3, s1=-1, s2=0, r1=0, r2=0).validate("z2")
-    with pytest.raises(ValueError):
-        SignedBlockKey(k=3, s1=0, s2=0, r1=0, r2=0).validate("plain")
+    # block_spectra states the mode's range rule: r2 <= K in z2 mode, K - 1
+    # in signed mode, for K = k - s1 - s2 >= 0 and k, s1, s2 >= 0
+    def grid(k, s1, s2, mode):
+        return [(r1, r2) for r1, r2, _ in block_spectra(k, s1, s2, mode)]
+
+    assert (2, 2) in grid(3, 1, 0, "z2")
+    assert (2, 2) not in grid(3, 1, 0, "signed")
+    assert (2, 1) in grid(3, 1, 0, "signed")
+    assert (3, 0) not in grid(3, 1, 0, "z2")
+    assert grid(3, 1, 0, "z2") == [(r1, r2) for r1 in range(3) for r2 in range(3)]
+    assert grid(3, 1, 0, "signed") == [(r1, r2) for r1 in range(3) for r2 in range(2)]
+    assert grid(1, 0, 0, "signed") == [(0, 0), (1, 0)]
+    assert grid(1, 1, 0, "signed") == []
+    with pytest.raises(ValueError, match="invalid parameters k=2, s1=2, s2=1"):
+        block_spectra(2, 2, 1, "z2")
+    with pytest.raises(ValueError, match="invalid parameters k=3, s1=-1, s2=0"):
+        block_spectra(3, -1, 0, "z2")
+    with pytest.raises(ValueError, match="mode must be 'z2' or 'signed', got 'plain'"):
+        block_spectra(3, 0, 0, "plain")
 
 
 def test_tensor_block_1_1_1_1():
-    key = SignedBlockKey(k=4, s1=1, s2=1, r1=1, r2=1)
-    spec = block_spectrum_tensor(key, "z2")
+    spec = block_spectrum_tensor(1, 1, 1, 1)
     assert [(l1, l2, str(p), m) for l1, l2, p, m in spec] == [
         (0, 0, "x^3 - 3x^2 - 2x + 8", 1),
         (0, 1, "x^3 - x^2 - 4x", 1),
@@ -174,33 +181,55 @@ def test_tensor_block_1_1_1_1():
 
 def test_tensor_block_pure_parts():
     # r2=0 leaves the e-family alone; r1=0 leaves the Z2 family alone
-    key = SignedBlockKey(k=2, s1=1, s2=0, r1=1, r2=0)
-    spec = block_spectrum_tensor(key, "z2")
+    spec = block_spectrum_tensor(1, 1, 0, 0)
     assert [(l1, str(p)) for l1, _, p, _ in spec] == [
         (0, "x^2 - x - 4"),
         (1, "x^2 - x"),
     ]
-    key = SignedBlockKey(k=2, s2=1, s1=0, r1=0, r2=1)
-    spec = block_spectrum_tensor(key, "z2")
+    spec = block_spectrum_tensor(0, 0, 1, 1)
     assert [(l2, str(p)) for _, l2, p, _ in spec] == [(0, "x - 2"), (1, "x")]
 
 
 def test_tensor_degree_law():
     for r1 in range(0, 3):
         for r2 in range(0, 3):
-            key = SignedBlockKey(k=8, s1=2, s2=2, r1=r1, r2=r2)
-            for _, _, p, _ in block_spectrum_tensor(key, "z2"):
+            for _, _, p, _ in block_spectrum_tensor(2, r1, 2, r2):
                 assert p.degree() == 2 * r1 + r2
 
 
 def test_tensor_multiplicity_product():
-    key = SignedBlockKey(k=8, s1=2, s2=1, r1=2, r2=2)
     m1 = multiplicities(2, 2)
     m2 = multiplicities(1, 2)
-    spec = block_spectrum_tensor(key, "z2")
+    spec = block_spectrum_tensor(2, 2, 1, 2)
     assert [(l1, l2, m) for l1, l2, _, m in spec] == [
         (l1, l2, m1[l1] * m2[l2]) for l1 in range(3) for l2 in range(2)
     ]
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_tensor_block_rejects_a_negative_argument(position):
+    args = [1, 1, 1, 1]
+    args[position] = -1
+    with pytest.raises(ValueError, match=r"need s1, r1, s2, r2 >= 0, got "):
+        block_spectrum_tensor(*args)
+
+
+def test_block_spectra_call_the_tensor_block_once_per_block(monkeypatch):
+    # the tensor block is the one place its spectrum is formed, and the
+    # traced span gram_signed_z2.block_spectrum_tensor times it
+    calls = []
+    tensor = gram_signed_z2.block_spectrum_tensor
+
+    def spy(*args):
+        calls.append(args)
+        return tensor(*args)
+
+    monkeypatch.setattr(gram_signed_z2, "block_spectrum_tensor", spy)
+    for mode in ("z2", "signed"):
+        calls.clear()
+        blocks = block_spectra(4, 1, 1, mode)
+        assert calls == [(1, r1, 1, r2) for r1, r2, _ in blocks]
+        assert [spec for _, _, spec in blocks] == [tensor(*c) for c in calls]
 
 
 def test_exceptional_diag_golden():
@@ -211,6 +240,17 @@ def test_exceptional_diag_golden():
         exceptional_diag_poly(2, 0, 0, 0)
     with pytest.raises(ValueError):
         exceptional_diag_poly(2, 0, 0, 3)
+
+
+def test_exceptional_diag_rejects_negative_parameters():
+    # the diagonal shares build_exceptional_block's check: a negative s1 or
+    # s2 widens K rather than failing the rp1 range
+    for args in [(2, -1, 0, 1), (2, 0, -1, 1), (-1, 0, 0, 1)]:
+        with pytest.raises(ValueError, match="^all parameters must be nonnegative$"):
+            exceptional_diag_poly(*args)
+    for args in [(2, -1, 0), (2, 0, -1), (-1, 0, 0)]:
+        with pytest.raises(ValueError, match="^all parameters must be nonnegative$"):
+            build_exceptional_block(*args)
 
 
 def test_exceptional_block_2_0_0():
@@ -232,6 +272,9 @@ def test_exceptional_block_dimension_and_symmetry():
         cap = k - s1 - s2
         blk = build_exceptional_block(k, s1, s2)
         assert len(blk) == 2 * cap
+        assert [blk[i][i] for i in range(2 * cap)] == [
+            exceptional_diag_poly(k, s1, s2, rp1) for rp1 in range(1, cap + 1) for _ in (0, 1)
+        ]
         for i in range(2 * cap):
             for j in range(2 * cap):
                 assert blk[i][j] == blk[j][i]
