@@ -23,8 +23,7 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from . import gram_partition, gram_signed_z2, oracle, sdm, spectrum
-from .errors import SizeCapExceeded
+from . import errors, gram_partition, gram_signed_z2, oracle, sdm, spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,7 +84,8 @@ def _add_out_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _sdm_build(args: argparse.Namespace) -> Result:
-    m = sdm.build(args.s, args.r, max_size=args.max_size)
+    cap = sdm.DEFAULT_MAX_SIZE if args.max_size is None else args.max_size
+    m = sdm.build(args.s, args.r, max_size=cap)
 
     def table() -> str:
         name = m.level_names().__getitem__
@@ -113,8 +113,9 @@ def _sdm_eig(args: argparse.Namespace) -> Result:
 
 
 def _sdm_verify(args: argparse.Namespace) -> Result:
+    cap = oracle.DEFAULT_CHARPOLY_CAP if args.max_size is None else args.max_size
     report = oracle.verify_sdm_spectrum(
-        args.s, args.r, trials=args.trials, seed=args.seed, max_size=args.max_size
+        args.s, args.r, trials=args.trials, seed=args.seed, max_size=cap
     )
 
     def csv() -> str:
@@ -144,7 +145,8 @@ def sdm_main(argv: Sequence[str] | None = None) -> int:
     p_build = sub.add_parser("build", parents=[], help="construct the level matrix")
     p_build.add_argument("--s", type=int, required=True, help="through classes")
     p_build.add_argument("--r", type=int, required=True, help="horizontal edges")
-    p_build.add_argument("--max-size", type=int, default=sdm.DEFAULT_MAX_SIZE)
+    # None: the handler reads its module's cap, so parsing runs no library module
+    p_build.add_argument("--max-size", type=int, default=None)
     _add_out_flag(p_build)
     p_build.set_defaults(handler=_sdm_build)
 
@@ -159,7 +161,7 @@ def sdm_main(argv: Sequence[str] | None = None) -> int:
     p_verify.add_argument("--r", type=int, required=True)
     p_verify.add_argument("--trials", type=int, default=5)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--max-size", type=int, default=oracle.DEFAULT_CHARPOLY_CAP)
+    p_verify.add_argument("--max-size", type=int, default=None)
     _add_out_flag(p_verify)
     p_verify.set_defaults(handler=_sdm_verify)
 
@@ -174,7 +176,8 @@ def _gram_partition(args: argparse.Namespace) -> Result:
     # the certificate builds no G_s; --max-size bounds only the G_s of --matrix
     det_report = oracle.verify_gram_det(k, s) if args.det else None
     det_sign = det_report.extra["epsilon"] if det_report is not None else None
-    gram = gram_partition.build_gram(k, s, args.max_size) if args.matrix else None
+    cap = gram_partition.DEFAULT_MAX_SIZE if args.max_size is None else args.max_size
+    gram = gram_partition.build_gram(k, s, cap) if args.matrix else None
     singular = gram_partition.semisimple_exceptions(k, s) if args.roots else None
 
     def data() -> dict:
@@ -253,7 +256,7 @@ def gram_main(argv: Sequence[str] | None = None) -> int:
     p_part.add_argument("--matrix", action="store_true", help="emit the Gram matrix")
     p_part.add_argument("--det", action="store_true", help="oracle determinant check")
     p_part.add_argument("--roots", action="store_true", help="emit singular integer x")
-    p_part.add_argument("--max-size", type=int, default=gram_partition.DEFAULT_MAX_SIZE)
+    p_part.add_argument("--max-size", type=int, default=None)
     _add_out_flag(p_part)
     p_part.set_defaults(handler=_gram_partition)
 
@@ -281,7 +284,7 @@ def _dispatch(parser: argparse.ArgumentParser, argv: Sequence[str] | None) -> in
         code, *renderers = args.handler(args)
         _emit(fmt, *renderers)
         return code
-    except SizeCapExceeded as e:
+    except errors.SizeCapExceeded as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_CAP
     except ValueError as e:

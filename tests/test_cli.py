@@ -152,53 +152,94 @@ def test_sdm_verify_rejects_no_trials(trials, capsys):
     assert "trials" in err
 
 
-def test_cli_import_does_not_load_numpy():
+_LIBRARY = (
+    "combinat", "errors", "gram_partition", "gram_signed_z2", "oracle", "poly", "sdm", "spectrum"
+)
+
+
+def _lib(*names):
+    return {f"diagram_spectra.{name}" for name in names}
+
+
+# a module "ran" when its code executed: a lazily registered submodule sits
+# in sys.modules from `import diagram_spectra` on, and reading its __dict__
+# through object.__getattribute__ does not load it
+_RAN = (
+    "import json, sys\n"
+    "{run}\n"
+    "ran = [k for k, m in sys.modules.items()\n"
+    "       if '__builtins__' in object.__getattribute__(m, '__dict__')]\n"
+    "print(json.dumps([code, ran]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "entry, argv, absent",
+    [
+        pytest.param(None, None, {"numpy"} | _lib(*_LIBRARY), id="import cli"),
+        pytest.param(
+            "sdm",
+            ["build", "--s", "2", "--r", "3", "--out", "csv"],
+            _lib("oracle", "spectrum", "gram_partition", "gram_signed_z2"),
+            id="sdm build",
+        ),
+        pytest.param(
+            "sdm",
+            ["eig", "--s", "3", "--r", "2", "--out", "csv"],
+            _lib("oracle", "sdm", "gram_partition", "gram_signed_z2"),
+            id="sdm eig",
+        ),
+        # the certificate stays in Python integers
+        pytest.param(
+            "sdm",
+            ["verify", "--s", "4", "--r", "5", "--out", "csv"],
+            {"fractions"} | _lib("gram_partition", "gram_signed_z2"),
+            id="sdm verify no fractions",
+        ),
+        # a whole verify run at side C(7,3) = 35 loads no numpy either
+        pytest.param(
+            "sdm",
+            ["verify", "--s", "3", "--r", "4", "--out", "csv"],
+            {"numpy"} | _lib("gram_partition", "gram_signed_z2"),
+            id="sdm verify no numpy",
+        ),
+        pytest.param(
+            "gram",
+            ["z2", "--k", "3", "--s1", "1", "--s2", "0"],
+            _lib("oracle", "sdm"),
+            id="gram z2",
+        ),
+        pytest.param(
+            "gram",
+            ["signed", "--k", "3", "--s1", "1", "--s2", "0"],
+            _lib("oracle", "sdm"),
+            id="gram signed",
+        ),
+        pytest.param(
+            "gram",
+            ["partition", "--k", "3", "--s", "1", "--matrix", "--roots"],
+            _lib("oracle"),
+            id="gram partition",
+        ),
+    ],
+)
+def test_command_runs_only_the_modules_it_calls(entry, argv, absent):
+    if entry is None:
+        run = "import diagram_spectra.cli; code = None"
+    else:
+        run = f"from diagram_spectra.cli import {entry}_main; code = {entry}_main({argv!r})"
     src = str(Path(diagram_spectra.__file__).parents[1])
-    code = "import sys, diagram_spectra.cli; print('numpy' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", _RAN.format(run=run)],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.stdout == "False\n"
-
-
-def test_verify_loads_no_fractions():
-    # the certificate stays in Python integers
-    src = str(Path(diagram_spectra.__file__).parents[1])
-    code = (
-        "import sys; from diagram_spectra.cli import sdm_main; "
-        "code = sdm_main(['verify', '--s', '4', '--r', '5', '--out', 'csv']); "
-        "print(code, 'fractions' in sys.modules)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.stdout.splitlines()[-1] == "0 False"
-
-
-def test_cli_verify_past_plain_cutoff_does_not_load_numpy():
-    # a whole verify run at side C(7,3) = 35 loads no numpy either
-    src = str(Path(diagram_spectra.__file__).parents[1])
-    code = (
-        "import sys; from diagram_spectra.cli import sdm_main; "
-        "code = sdm_main(['verify', '--s', '3', '--r', '4', '--out', 'csv']); "
-        "print(code, 'numpy' in sys.modules)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    code, ran = json.loads(proc.stdout.splitlines()[-1])
+    assert code == (None if entry is None else EXIT_OK)
+    assert absent.intersection(ran) == set()
+    assert "diagram_spectra.cli" in ran
 
 
 def test_sdm_byte_identical(capsys):
