@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 from .combinat import binomial, k_subsets, set_partitions, stirling2
 from .errors import SizeCapExceeded
-from .poly import X, ZERO, Polynomial, factor_product
+from .poly import X, ZERO, Polynomial
 from .spectrum import multiplicities
 
 DEFAULT_MAX_SIZE = 3000
@@ -302,8 +302,7 @@ def x_substitution_poly(s: int, r: int, t: int) -> Polynomial:
     """X_{min(s,r)-t} = (-1)^t * t! * prod_{m=t}^{r-1} (x - (s+m))."""
     if not (0 <= t <= min(s, r)):
         raise ValueError(f"t={t} out of range 0..{min(s, r)}")
-    prod = factor_product(Polynomial.x_minus(s + m) for m in range(t, r))
-    return prod.scale((-1) ** t * math.factorial(t))
+    return Polynomial.from_roots(range(s + t, s + r)).scale((-1) ** t * math.factorial(t))
 
 
 @dataclass(frozen=True)
@@ -338,7 +337,7 @@ def product_form(s: int, r: int, l: int) -> Polynomial:
     """Factored form of the block eigenpolynomial E_{r,l} (degree r)."""
     if not (0 <= l <= min(s, r)):
         raise ValueError(f"l={l} out of range 0..{min(s, r)}")
-    return factor_product(Polynomial.x_minus(a) for a in product_form_roots(s, r, l))
+    return Polynomial.from_roots(product_form_roots(s, r, l))
 
 
 def semisimple_exceptions(k: int, s: int) -> set[int]:

@@ -57,6 +57,7 @@ reported with witnesses, never raised.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -336,15 +337,20 @@ def _certificate_failure(p: Sequence, forms: Sequence) -> tuple[str, str] | None
     """
     d = len(p) - 1
     # P_l(v) P_l(w) = sum_u p^u_vw P_l(u) makes row l a character of the
-    # Bose-Mesner algebra spanned by A_0..A_d; P_l(d) = 1 since A_d = I
+    # Bose-Mesner algebra spanned by A_0..A_d; P_l(d) = 1 since A_d = I. As
+    # p^u_vw = p^u_wv, (v, w) fails exactly when (w, v) does, so visiting
+    # v <= w finds the same first failing pair
     rows = [f.coeffs for f in forms]
+    columns = [
+        (v, w, [pu[v][w] for pu in p])
+        for v, w in itertools.combinations_with_replacement(range(d + 1), 2)
+    ]
     for l, pl in enumerate(rows):
         if pl[d] != 1:
             return "characters", f"family {l}: P_l({d}) = {pl[d]}, want 1"
-        for v in range(d + 1):
-            for w in range(d + 1):
-                if pl[v] * pl[w] != sum(p[u][v][w] * pl[u] for u in range(d + 1)):
-                    return "characters", f"family {l} is not multiplicative at levels ({v}, {w})"
+        for v, w, col in columns:
+            if pl[v] * pl[w] != sum(map(mul, col, pl)):
+                return "characters", f"family {l} is not multiplicative at levels ({v}, {w})"
     # the algebra is commutative of dimension d+1, so d+1 distinct characters
     # are all of them: every eigenvalue of sum_v x_v A_v is one of the E_l
     if len(set(rows)) != d + 1:
@@ -444,6 +450,51 @@ def verify_sdm_spectrum(
 MAX_DET_DEGREE = 2000
 
 
+def _stirling_rows(n: int) -> list[list[int]]:
+    """S(i, b) at [i][b] for 0 <= b <= i <= n, by S(i, b) = b S(i-1, b) +
+    S(i-1, b-1)."""
+    rows = [[1]]
+    for i in range(1, n + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [b * prev[b] + prev[b - 1] for b in range(1, i + 1)])
+    return rows
+
+
+def _add_scaled(acc: list[int], c: int, coeffs: Sequence[int]) -> None:
+    """acc += c * coeffs, coefficient by coefficient, growing acc as needed."""
+    acc.extend([0] * (len(coeffs) - len(acc)))
+    acc[: len(coeffs)] = [a + c * x for a, x in zip(acc, coeffs)]
+
+
+def _closed_forms(s: int, top: int):
+    """The memos of one certificate call, dropped with it: xsub(r, t), the
+    coefficients of X(s, r, t), read through the module attribute
+    gram_partition.x_substitution_poly; and spread(f, m, j) = sum_i C(f, i)
+    m^(f-i) S(i, j), f <= top, the ways f join blocks make j new blocks
+    while the rest join one of m others, from one table of S(i, b)."""
+    stirling = _stirling_rows(top)
+    xsub = functools.cache(lambda r, t: gram_partition.x_substitution_poly(s, r, t).coeffs)
+    spread = functools.cache(
+        lambda f, m, j: sum(
+            binomial(f, i) * m ** (f - i) * stirling[i][j] for i in range(j, f + 1)
+        )
+    )
+    return xsub, spread, stirling
+
+
+def _congruence_coeffs(s: int, c: int, o: int, xsub, spread) -> list[int]:
+    """congruence_entry(s, c, o) as a coefficient list, from the memos of
+    _closed_forms."""
+    f = c - 2 * s + o
+    acc: list[int] = []
+    for j in range(s - o + 1):
+        pairs = binomial(s - o, j) ** 2 * math.factorial(j)
+        m = 2 * s - o - j
+        for b in range(m, m + f + 1):
+            _add_scaled(acc, pairs * spread(f, m, b - m), xsub(b - s, s - o - j))
+    return acc
+
+
 def congruence_entry(s: int, c: int, o: int) -> Polynomial:
     """(Z^T D Z)[(p,P),(q,Q)] when the join p v q has c blocks and the
     through blocks P and Q land on s distinct join blocks each, o of them in
@@ -457,21 +508,11 @@ def congruence_entry(s: int, c: int, o: int) -> Polynomial:
     join blocks, i make its b - m other blocks, in C(f, i) S(i, b - m) ways,
     and the rest join one of the m, in m^(f - i) ways.
     """
-    xsub = gram_partition.x_substitution_poly
-    f = c - 2 * s + o
-    acc = ZERO
-    for j in range(s - o + 1):
-        pairs = binomial(s - o, j) ** 2 * math.factorial(j)
-        m = 2 * s - o - j
-        for b in range(m, m + f + 1):
-            spread = sum(
-                binomial(f, i) * m ** (f - i) * stirling2(i, b - m) for i in range(b - m, f + 1)
-            )
-            acc = acc + xsub(s, b - s, s - o - j).scale(pairs * spread)
-    return acc
+    xsub, spread, _ = _closed_forms(s, c - 2 * s + o)
+    return Polynomial.of(_congruence_coeffs(s, c, o, xsub, spread))
 
 
-def _congruence_failure(k: int, s: int) -> dict | None:
+def _congruence_failure(k: int, s: int, xsub, spread) -> dict | None:
     """The first join type (c, o) at which a cell of G_s and the same cell
     of Z^T D Z differ, as a failure entry, or None when every join type
     agrees.
@@ -480,15 +521,16 @@ def _congruence_failure(k: int, s: int) -> dict | None:
     of the join p v q, s <= c <= k. When P and Q land on s distinct join
     blocks each, o of them in common (so 2s - o <= c), the cell of G_s is
     x^(c-s) when o = s and 0 otherwise, and that of Z^T D Z is
-    congruence_entry(s, c, o): both are functions of (c, o). When P or Q
-    lands on fewer than s join blocks, both are 0 by definition: the
-    product's propagating number drops, and no coarsening of the join keeps
-    those through blocks apart, so the sum is empty.
+    congruence_entry(s, c, o), summed here from the call's memos: both are
+    functions of (c, o). When P or Q lands on fewer than s join blocks,
+    both are 0 by definition: the product's propagating number drops, and
+    no coarsening of the join keeps those through blocks apart, so the sum
+    is empty.
     """
     for c in range(max(s, 1), k + 1):
         for o in range(max(0, 2 * s - c), s + 1):
             want = X.pow(c - s) if o == s else ZERO
-            got = congruence_entry(s, c, o)
+            got = Polynomial.of(_congruence_coeffs(s, c, o, xsub, spread))
             if got != want:
                 return {
                     "step": "congruence",
@@ -518,6 +560,10 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
        total multiplicity must equal block_spectrum's, whose E_{r,l} is
        product_form(s, r, l), so det G_s is a product of linear factors.
 
+    Both checks read one memo of the substituted symbols X(s, r, t), so
+    each is formed once per call, and sum each cell and each E_l in one
+    integer coefficient list.
+
     Z is unitriangular in any row order by ascending block count, as a
     theorem: Z[(t,T),(p,P)] = 1 only when t is p or coarser, the identity
     coarsening gives the diagonal, and every other coarsening of p has fewer
@@ -532,19 +578,22 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
     degree = sum(r * count * binomial(s + r, s) for r, count in enumerate(copies))
     if degree > MAX_DET_DEGREE:
         raise SizeCapExceeded(f"degree of det G_{s} on {k} points", degree, MAX_DET_DEGREE)
+    # every join has at most k blocks, so at most k - s of them are met by
+    # neither through choice
+    xsub, spread, stirling = _closed_forms(s, k - s)
     failures = []
-    failed = _congruence_failure(k, s)
+    failed = _congruence_failure(k, s, xsub, spread)
     if failed is not None:
         failures.append(failed)
     # nnz(Z): a column (p, P), p with b blocks, has one entry per coarsening
     # of p that keeps the s blocks of P apart: i of the other b - s blocks
     # make new blocks, in Bell(i) ways, and the rest join one of P's
-    bell = [sum(stirling2(i, j) for j in range(i + 1)) for i in range(k - s + 1)]
+    bell = list(map(sum, stirling))
     z_nnz = sum(
-        stirling2(k, b)
-        * binomial(b, s)
-        * sum(binomial(b - s, i) * s ** (b - s - i) * bell[i] for i in range(b - s + 1))
-        for b in range(s, k + 1)
+        count
+        * binomial(s + r, s)
+        * sum(binomial(r, i) * s ** (r - i) * bell[i] for i in range(r + 1))
+        for r, count in enumerate(copies)
     )
     exponents: Counter[int] = Counter()
     for r, count in enumerate(copies):
@@ -557,13 +606,12 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
             failures.append({"step": failed[0], "r": r, "detail": failed[1]})
             continue
         d = min(s, r)
-        xs = [gram_partition.x_substitution_poly(s, r, d - v) for v in range(d + 1)]
         certified = []
         for f in forms:
-            e_l = ZERO
-            for c, x_v in zip(f.coeffs, xs):
-                e_l = e_l + x_v.scale(c)
-            certified.append((f.l, e_l, count * f.multiplicity))
+            e_l: list[int] = []
+            for v, c in enumerate(f.coeffs):
+                _add_scaled(e_l, c, xsub(r, d - v))
+            certified.append((f.l, Polynomial.of(e_l), count * f.multiplicity))
         spec_r = gram_partition.block_spectrum(k, s, r)
         if list(spec_r.eigenpolys) != certified:
             got = [[l, e.to_json(), m] for l, e, m in spec_r.eigenpolys]

@@ -57,6 +57,16 @@ class Polynomial:
             coeffs[j - 1] = coeffs[j] * -a * j // (e - j + 1)
         return Polynomial.of(coeffs)
 
+    @staticmethod
+    def from_roots(roots: Iterable[int]) -> "Polynomial":
+        """The product of x - a over the roots, with repeats, grown in one
+        coefficient list: times x - a, the coefficient of x^j becomes
+        c_{j-1} - a c_j. Monic, so nothing is trimmed; no roots give ONE."""
+        coeffs = [1]
+        for a in roots:
+            coeffs = [lo - a * hi for lo, hi in zip([0] + coeffs, coeffs + [0])]
+        return Polynomial(tuple(coeffs))
+
     def is_zero(self) -> bool:
         return not self.coeffs
 

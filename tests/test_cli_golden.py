@@ -6,8 +6,9 @@ stderr must equal the line recorded in cli_golden.txt. The corpus covers the
 six subcommands in all three output formats at small parameters
 (s, r <= 4; k <= 4; --det only at k <= 3), the format environment variable,
 usage errors (exit 1) and size-cap errors (exit 2), the det degree cap at
-k = 7 and build_gram's join-work cap at k = 76 among them. Digests are cut
-to 128 bits to keep the file small.
+k = 7 and build_gram's join-work cap at k = 76 among them, and `sdm eig`
+at min(s, r) = 127, the largest under the Eberlein cap, and at r = 10^12.
+Digests are cut to 128 bits to keep the file small.
 
 Regenerate the file only for an intended output change, and review its diff:
 
@@ -111,6 +112,13 @@ def corpus() -> list[list[str]]:
         out += _with_formats(argv)
     # side 2926 under the side cap, past build_gram's join-work cap
     out.append(["gram", "partition", "--k", "76", "--s", "75", "--matrix", "--out", "json"])
+
+    # Eberlein tables at the largest d under MAX_EBERLEIN_TERMS, at a huge r
+    # and at r > s, pinned from the direct binomial sums; then the cap itself
+    out.append(["sdm", "eig", "--s", "127", "--r", "127", "--out", "csv"])
+    out.append(["sdm", "eig", "--s", "120", "--r", "1000000000000", "--out", "json"])
+    out.append(["sdm", "eig", "--s", "3", "--r", "40", "--out", "pretty-table"])
+    out.append(["sdm", "eig", "--s", "128", "--r", "128", "--out", "json"])
     return out
 
 

@@ -762,6 +762,26 @@ def test_verify_gram_det_rejects_one_sided_change():
     assert _cell_failure(tampered) == {"row": i, "column": j, "expected": [], "got": ["0", "1"]}
 
 
+def test_verify_gram_det_forms_each_substitution_once_per_call(monkeypatch):
+    # the congruence check and the E_l formation share one memo, which goes
+    # with the call: a second call forms every X(s, r, t) again
+    real = gram_partition.x_substitution_poly
+    calls = []
+
+    def counted(s, r, t):
+        calls.append((s, r, t))
+        return real(s, r, t)
+
+    monkeypatch.setattr(gram_partition, "x_substitution_poly", counted)
+    assert verify_gram_det(6, 2).passed
+    first = list(calls)
+    assert len(first) == len(set(first))
+    assert {(s, r) for s, r, _ in first} == {(2, r) for r in range(5)}
+    assert {(r, t) for _, r, t in first} == {(r, t) for r in range(5) for t in range(min(2, r) + 1)}
+    assert verify_gram_det(6, 2).passed
+    assert calls == first + first
+
+
 def test_verify_gram_det_rejects_perturbed_substitution(monkeypatch, capsys):
     # X_0 of the r = 1 blocks of G_1 off by one: the congruence with the
     # closed form of G_s sees it, and so does the comparison of the certified

@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from diagram_spectra.errors import SizeCapExceeded
 from diagram_spectra.poly import (
@@ -76,6 +76,13 @@ def test_factor_product():
     a = Polynomial.of([-2, -1, 1])  # x^2 - x - 2
     b = Polynomial.of([-4, -1, 1])  # x^2 - x - 4
     assert factor_product([a, b]) == Polynomial.of([8, 6, -5, -2, 1])
+
+
+@given(st.lists(st.integers(min_value=-40, max_value=40), max_size=12))
+@example([])
+def test_from_roots_is_the_product_of_linear_factors(roots):
+    # no roots give factor_product's empty product, ONE
+    assert Polynomial.from_roots(roots) == factor_product(map(Polynomial.x_minus, roots))
 
 
 def test_factor_product_degree():

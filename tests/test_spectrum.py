@@ -107,6 +107,26 @@ def test_distinct_eigenvalues_are_distinct_forms():
             assert len({f.coeffs for f in forms}) == len(forms)
 
 
+def _direct_table(s, r):
+    # the Eberlein sums, each from its own binomials: x_{lo-t} carries
+    # e(s, r, l, t)
+    lo = min(s, r)
+    return [
+        tuple(eberlein_coefficient(s, r, l, lo - v) for v in range(lo + 1)) for l in range(lo + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "s, r",
+    [(s, r) for s in range(15) for r in range(15) if s + r] + [(5, 10**30), (40, 3), (3, 40)],
+)
+def test_distinct_eigenvalues_by_differences_equal_the_direct_sums(s, r):
+    forms = distinct_eigenvalues(s, r)
+    assert [f.coeffs for f in forms] == _direct_table(s, r)
+    assert [f.l for f in forms] == list(range(min(s, r) + 1))
+    assert [f.multiplicity for f in forms] == multiplicities(s, r)
+
+
 def test_distinct_eigenvalues_work_cap(monkeypatch):
     # the cap counts (min(s,r)+1)^2 Eberlein coefficients, whatever the side
     monkeypatch.setattr(spectrum, "MAX_EBERLEIN_TERMS", 16)
