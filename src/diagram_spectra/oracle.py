@@ -450,48 +450,32 @@ def verify_sdm_spectrum(
 MAX_DET_DEGREE = 2000
 
 
-def _stirling_rows(n: int) -> list[list[int]]:
-    """S(i, b) at [i][b] for 0 <= b <= i <= n, by S(i, b) = b S(i-1, b) +
-    S(i-1, b-1)."""
-    rows = [[1]]
-    for i in range(1, n + 1):
-        prev = rows[-1] + [0]
-        rows.append([0] + [b * prev[b] + prev[b - 1] for b in range(1, i + 1)])
-    return rows
-
-
 def _add_scaled(acc: list[int], c: int, coeffs: Sequence[int]) -> None:
     """acc += c * coeffs, coefficient by coefficient, growing acc as needed."""
     acc.extend([0] * (len(coeffs) - len(acc)))
     acc[: len(coeffs)] = [a + c * x for a, x in zip(acc, coeffs)]
 
 
-def _closed_forms(s: int, top: int):
-    """The memos of one certificate call, dropped with it: xsub(r, t), the
-    coefficients of X(s, r, t), read through the module attribute
-    gram_partition.x_substitution_poly; and spread(f, m, j) = sum_i C(f, i)
-    m^(f-i) S(i, j), f <= top, the ways f join blocks make j new blocks
-    while the rest join one of m others, from one table of S(i, b)."""
-    stirling = _stirling_rows(top)
-    xsub = functools.cache(lambda r, t: gram_partition.x_substitution_poly(s, r, t).coeffs)
-    spread = functools.cache(
-        lambda f, m, j: sum(
-            binomial(f, i) * m ** (f - i) * stirling[i][j] for i in range(j, f + 1)
-        )
-    )
-    return xsub, spread, stirling
+def _substitution_memo(s: int):
+    """xsub(r, t), the coefficients of X(s, r, t), each formed once while the
+    memo lives: one certificate call. It reads the module attribute
+    gram_partition.x_substitution_poly, so a patched X is the one checked."""
+    return functools.cache(lambda r, t: gram_partition.x_substitution_poly(s, r, t).coeffs)
 
 
-def _congruence_coeffs(s: int, c: int, o: int, xsub, spread) -> list[int]:
-    """congruence_entry(s, c, o) as a coefficient list, from the memos of
-    _closed_forms."""
+def _congruence_coeffs(s: int, c: int, o: int, xsub) -> list[int]:
+    """congruence_entry(s, c, o) as a coefficient list, X(s, r, t) read from
+    the memo xsub."""
     f = c - 2 * s + o
     acc: list[int] = []
     for j in range(s - o + 1):
         pairs = binomial(s - o, j) ** 2 * math.factorial(j)
         m = 2 * s - o - j
         for b in range(m, m + f + 1):
-            _add_scaled(acc, pairs * spread(f, m, b - m), xsub(b - s, s - o - j))
+            spread = sum(
+                binomial(f, i) * m ** (f - i) * stirling2(i, b - m) for i in range(b - m, f + 1)
+            )
+            _add_scaled(acc, pairs * spread, xsub(b - s, s - o - j))
     return acc
 
 
@@ -508,11 +492,10 @@ def congruence_entry(s: int, c: int, o: int) -> Polynomial:
     join blocks, i make its b - m other blocks, in C(f, i) S(i, b - m) ways,
     and the rest join one of the m, in m^(f - i) ways.
     """
-    xsub, spread, _ = _closed_forms(s, c - 2 * s + o)
-    return Polynomial.of(_congruence_coeffs(s, c, o, xsub, spread))
+    return Polynomial.of(_congruence_coeffs(s, c, o, _substitution_memo(s)))
 
 
-def _congruence_failure(k: int, s: int, xsub, spread) -> dict | None:
+def _congruence_failure(k: int, s: int, xsub) -> dict | None:
     """The first join type (c, o) at which a cell of G_s and the same cell
     of Z^T D Z differ, as a failure entry, or None when every join type
     agrees.
@@ -521,7 +504,7 @@ def _congruence_failure(k: int, s: int, xsub, spread) -> dict | None:
     of the join p v q, s <= c <= k. When P and Q land on s distinct join
     blocks each, o of them in common (so 2s - o <= c), the cell of G_s is
     x^(c-s) when o = s and 0 otherwise, and that of Z^T D Z is
-    congruence_entry(s, c, o), summed here from the call's memos: both are
+    congruence_entry(s, c, o), summed here from the call's memo: both are
     functions of (c, o). When P or Q lands on fewer than s join blocks,
     both are 0 by definition: the product's propagating number drops, and
     no coarsening of the join keeps those through blocks apart, so the sum
@@ -530,7 +513,7 @@ def _congruence_failure(k: int, s: int, xsub, spread) -> dict | None:
     for c in range(max(s, 1), k + 1):
         for o in range(max(0, 2 * s - c), s + 1):
             want = X.pow(c - s) if o == s else ZERO
-            got = Polynomial.of(_congruence_coeffs(s, c, o, xsub, spread))
+            got = Polynomial.of(_congruence_coeffs(s, c, o, xsub))
             if got != want:
                 return {
                     "step": "congruence",
@@ -578,22 +561,20 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
     degree = sum(r * count * binomial(s + r, s) for r, count in enumerate(copies))
     if degree > MAX_DET_DEGREE:
         raise SizeCapExceeded(f"degree of det G_{s} on {k} points", degree, MAX_DET_DEGREE)
-    # every join has at most k blocks, so at most k - s of them are met by
-    # neither through choice
-    xsub, spread, stirling = _closed_forms(s, k - s)
+    xsub = _substitution_memo(s)
     failures = []
-    failed = _congruence_failure(k, s, xsub, spread)
+    failed = _congruence_failure(k, s, xsub)
     if failed is not None:
         failures.append(failed)
     # nnz(Z): a column (p, P), p with b blocks, has one entry per coarsening
     # of p that keeps the s blocks of P apart: i of the other b - s blocks
     # make new blocks, in Bell(i) ways, and the rest join one of P's
-    bell = list(map(sum, stirling))
+    bell = [sum(stirling2(i, j) for j in range(i + 1)) for i in range(k - s + 1)]
     z_nnz = sum(
-        count
-        * binomial(s + r, s)
-        * sum(binomial(r, i) * s ** (r - i) * bell[i] for i in range(r + 1))
-        for r, count in enumerate(copies)
+        stirling2(k, b)
+        * binomial(b, s)
+        * sum(binomial(b - s, i) * s ** (b - s - i) * bell[i] for i in range(b - s + 1))
+        for b in range(s, k + 1)
     )
     exponents: Counter[int] = Counter()
     for r, count in enumerate(copies):

@@ -863,7 +863,10 @@ def test_verify_gram_det_work_cap(monkeypatch, s):
         raise AssertionError("nothing may run past the work cap")
 
     monkeypatch.setattr(gram_partition, "build_gram", refuse)
+    monkeypatch.setattr(gram_partition, "x_substitution_poly", refuse)
     monkeypatch.setattr(oracle, "congruence_entry", refuse)
+    monkeypatch.setattr(oracle, "_substitution_memo", refuse)
+    monkeypatch.setattr(oracle, "_congruence_coeffs", refuse)
     monkeypatch.setattr(oracle, "_intersection_numbers", refuse)
     monkeypatch.setattr(sdm, "build", refuse)
     message = f"G_{s} on 7 points: size {degree} exceeds cap {oracle.MAX_DET_DEGREE}"
