@@ -23,7 +23,7 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from . import errors, gram_partition, gram_signed_z2, oracle, sdm, spectrum
+from . import errors, gram_partition, gram_signed_z2, oracle, poly, sdm, spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,6 +97,9 @@ def _sdm_build(args: argparse.Namespace) -> Result:
 
 def _sdm_eig(args: argparse.Namespace) -> Result:
     s, r = args.s, args.r
+    # refused before any renderer forms the table, after its shape checks
+    for bound in spectrum.table_bounds(s, r):
+        poly.check_str_digits("decimal digits of an eig table entry", bound)
 
     def csv() -> str:
         forms = spectrum.distinct_eigenvalues(s, r)

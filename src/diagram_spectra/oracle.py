@@ -3,56 +3,34 @@
 Two primitives, neither of which shares arithmetic with the closed-form
 modules beyond the Polynomial container:
 
-* charpoly: exact characteristic polynomial det(lambda*I - M) of an integer
-  matrix, one path for every side. It reduces the matrix to Hessenberg form
-  modulo a few Mersenne primes, O(n^3) per prime, and recovers the integer
-  coefficients by CRT once the primes' product passes twice the integer
-  Hadamard bound prod_i (isqrt(||row_i||^2) + 2). The prime pool caps that
-  bound at about 19168 bits; past it charpoly raises SizeCapExceeded.
-  Python integers only.
+* charpoly: exact det(lambda*I - M) of an integer matrix, one path for
+  every side: Hessenberg reduction modulo a few Mersenne primes, O(n^3) per
+  prime, and CRT once the primes' product passes twice the integer Hadamard
+  bound prod_i (isqrt(||row_i||^2) + 2). Past the pool's 19168 bits it
+  raises SizeCapExceeded. Python integers only.
 
 * det_poly: exact determinant of a matrix over Z[x] as one integer
-  determinant (Kronecker substitution): the entries are evaluated at x = 2^b
-  past a Hadamard-type bound on the coefficients of every minor, Bareiss
-  elimination runs over Z, and the balanced base-2^b digits of the result
-  are its coefficients. Sides up to 8 are recomputed by expansion by minors
-  as a self-check.
+  determinant (Kronecker substitution): Bareiss elimination over Z at
+  x = 2^b, b past a Hadamard-type bound on the coefficients of every minor,
+  and the balanced base-2^b digits of the result are its coefficients.
 
-verify_sdm_spectrum certifies the spectrum of A^{s+r,s} symbolically, for
-every x at once, in Python integers. Its level relations A_0..A_d
-(d = min(s,r)) are those of the Johnson scheme J(s+r, s). The closed form
-passes when its coefficient rows are d+1 distinct characters of the algebra
-spanned by the A_v, with P_l(d) = 1, and its multiplicities meet the
-orthogonality relation n = m_l sum_v P_l(v)^2 / k_v (Delsarte 1973;
-Brouwer, Cohen & Neumaier, Distance-Regular Graphs, ch. 2 and 9.1). The
-intersection numbers p^u_vw it takes are counted in closed form, as in the
-Gram certificate below. The built level matrix must meet the paper's entry
-rule in every cell, recomputed from indicators the oracle builds itself,
-and then count the p^u_vw at one pair per level, which ties them to every
-pair since S_{s+r} acts transitively on each relation. charpoly runs only
-when the certificate fails, on `trials` random substitutions seeded by
-`seed`, to find witnesses.
+Both certificates rest on the Johnson graph J(s+r, s), distance-regular of
+diameter d = min(s,r) with intersection array b_i = (s-i)(r-i), c_i = i^2,
+a_i = sr - b_i - c_i and valencies k_i = C(s,i) C(r,i) (Brouwer, Cohen &
+Neumaier, Distance-Regular Graphs, 4.1 and 9.1; Delsarte 1973). Its
+distance-i relation A_i is level d - i of A^{s+r,s}, and A_1 generates the
+algebra the A_i span through A_1 A_i = b_{i-1} A_{i-1} + a_i A_i +
+c_{i+1} A_{i+1}, so _certificate_failure checks a closed-form spectrum
+against the array in O(d^2) integer operations, for every x at once.
 
-verify_gram_det certifies det G_s = prod_{r,l} E_{r,l}^{mult}, sign +1
-included, from (k, s) alone, in closed-form arithmetic: it builds no G_s
-and no level matrix, enumerates no partitions and evaluates no
-determinant. It checks the paper's reduction as a congruence
-G_s = Z^T D Z one join type at a time: a cell of either side depends only
-on the number c of blocks of the join of its two partitions and the overlap
-o of its two through choices, and a cell of Z^T D Z sums over the
-coarsenings of the join that keep the two through choices apart, counted
-by their block counts (Rota 1964). For s = 0 each identity is Stirling's
-sum_b S(c,b) (x)_b = x^c, behind Lindstrom's determinant. Z is
-unitriangular in block-count order, as a theorem, so det G_s = det D. Each
-block of D, a substituted A^{s+r,s}, is certified with the certificate
-above on the counted intersection numbers of J(s+r, s), for every r,
-against block_spectrum(k, s, r), whose E_{r,l} is a product of linear
-factors, so the det is expanded from their powers. Its work is capped by
-the degree of the det, MAX_DET_DEGREE, since that expansion dominates;
-det_poly stays as an independent cross-check in the tests.
-
-Both verify_* functions produce machine-readable reports; failures are
-reported with witnesses, never raised.
+verify_sdm_spectrum checks the built level matrix against the paper's entry
+rule cell by cell, ties the array to it at one pair per distance, and runs
+the certificate; charpoly runs only when a check fails, to find witnesses.
+verify_gram_det certifies det G_s from (k, s) alone, through the congruence
+G_s = Z^T D Z checked one join type at a time (Rota 1964), with the
+certificate on each block of D; det_poly stays as an independent
+cross-check in the tests. Both produce machine-readable reports; failures
+are reported with witnesses, never raised.
 """
 
 from __future__ import annotations
@@ -235,12 +213,7 @@ def det_poly(
         d = ((v + half) & mask) - half
         digits.append(d)
         v = (v - d) >> b
-    det = Polynomial.of(digits)
-    if n <= 8:
-        check = det_by_minors(m)
-        if check != det:
-            raise AssertionError("Bareiss and minor-expansion determinants disagree")
-    return det
+    return Polynomial.of(digits)
 
 
 @dataclass
@@ -266,31 +239,19 @@ class VerifyReport:
         return out
 
 
-def _intersection_numbers(s: int, r: int) -> list[list[list[int]]]:
-    """p[u][v][w] = p^u_vw of the Johnson scheme J(s+r, s), counted; level v
-    is overlap a_v = v + s - d, d = min(s,r). Fix through sets A, B at level
-    u; a C at level v from A and w from B has x elements in A cap B, a_v - x
-    in A minus B, a_w - x in B minus A and s - a_v - a_w + x among the
-    r - s + a_u others. At most d + 1 values of x give terms, each with
-    binomials in math.comb's range; p^u_vw = p^u_wv, so w runs from v up."""
+def _intersection_array(s: int, r: int) -> tuple[list[int], ...]:
+    """(a, b, c, k), the intersection array and the valencies of J(s+r, s)
+    by distance i = 0..min(s,r) (BCN 9.1): two through sets at distance i
+    share s - i points, level d - i."""
     d = min(s, r)
-    a = [v + s - d for v in range(d + 1)]
-    comb = math.comb
-    p = [[[0] * (d + 1) for _ in a] for _ in a]
-    for pu, au in zip(p, a):
-        for v, w in itertools.combinations_with_replacement(range(d + 1), 2):
-            av, aw = a[v], a[w]
-            xs = range(max(0, au + av - s, au + aw - s, av + aw - s), min(au, av, aw) + 1)
-            if xs:
-                pu[v][w] = pu[w][v] = sum(
-                    comb(au, x) * comb(s - au, av - x) * comb(s - au, aw - x)
-                    * comb(r - s + au, s - av - aw + x)
-                    for x in xs
-                )
-    return p
+    b = [(s - i) * (r - i) for i in range(d + 1)]
+    c = [i * i for i in range(d + 1)]
+    a = [s * r - bi - ci for bi, ci in zip(b, c)]
+    k = [math.comb(s, i) * math.comb(r, i) for i in range(d + 1)]
+    return a, b, c, k
 
 
-def _level_failure(s: int, r: int, levels: Sequence, p: Sequence) -> tuple[str, str] | None:
+def _level_failure(s: int, r: int, levels: Sequence, array: Sequence) -> tuple[str, str] | None:
     """The first failed check of a level matrix of A^{s+r,s}, as (step,
     detail), or None when both hold:
 
@@ -301,12 +262,14 @@ def _level_failure(s: int, r: int, levels: Sequence, p: Sequence) -> tuple[str, 
        row i must be the bytes of d*1 - sum_{e not in T_i} P_e, whose byte j
        is d - |T_j minus T_i| = d - f. No byte of a partial sum passes f, so
        none carries or borrows.
-    2. "intersection numbers": for each level u, the first column y at
-       level u in row 0 counts #{z : levels[0][z] = v, levels[y][z] = w} =
-       p[u][v][w]. Once every cell holds, the matrix is J(s+r, s)'s, whose
-       relations S_{s+r} permutes transitively pair by pair, so one pair at
-       each level ties p to all of them; row 0 holds every level, as T_0
-       meets some T_j in each of max(0, s-r)..s points."""
+    2. "intersection numbers": row 0 holds k_i cells at each distance i,
+       and for the first column y at distance i in row 0, the s*r
+       distance-1 neighbours of row 0 lie at distances i-1, i and i+1 from
+       y exactly c_i, a_i and b_i times. Once every cell holds, the matrix
+       is J(s+r, s)'s, whose relations S_{s+r} permutes transitively pair
+       by pair, so one pair at each distance ties the array to all of them;
+       row 0 holds every level, as T_0 meets some T_j in each of
+       max(0, s-r)..s points."""
     d = min(s, r)
     through = list(itertools.combinations(range(s + r), s))
     n = len(through)
@@ -318,50 +281,52 @@ def _level_failure(s: int, r: int, levels: Sequence, p: Sequence) -> tuple[str, 
         want = top - sum([packed[e] for e in range(s + r) if e not in t])
         if bytes(row) != want.to_bytes(n, "little"):
             return "entry rule", f"row {i} is not x_{{min(s,r)-f}} cell by cell"
-    for u, pu in enumerate(p):
-        y = levels[0].index(u)
-        counts = Counter(zip(levels[0], levels[y]))
-        if any(counts[v, w] != c for v, pv in enumerate(pu) for w, c in enumerate(pv)):
-            return "intersection numbers", f"column {y} at level {u} does not count p^{u}_vw"
+    a, b, c, k = array
+    if Counter(levels[0]) != Counter({d - i: ki for i, ki in enumerate(k)}):
+        return "intersection numbers", "row 0 does not count k_i cells at distance i"
+    near = [z for z, v in enumerate(levels[0]) if v == d - 1]
+    for i in range(d + 1):
+        y = levels[0].index(d - i)
+        want = Counter({d - i + 1: c[i], d - i: a[i], d - i - 1: b[i]})
+        if Counter(levels[y][z] for z in near) != want:
+            return "intersection numbers", f"column {y} does not count c_{i}, a_{i}, b_{i}"
     return None
 
 
-def _certificate_failure(p: Sequence, forms: Sequence) -> tuple[str, str] | None:
+def _certificate_failure(array: Sequence, forms: Sequence) -> tuple[str, str] | None:
     """The first failed step of the Bose-Mesner certificate, as (step,
     detail), or None when every step holds.
 
-    p[u][v][w] = p^u_vw are the intersection numbers of a commutative
-    association scheme with relations A_0..A_d, A_d the identity; forms
-    claim the spectrum of sum_v x_v A_v, P_l(v) = forms[l].coeffs[v] being
-    the eigenvalue of A_v on family l.
+    array = (a, b, c, k) is the intersection array and the valencies of a
+    distance-regular graph of diameter d; forms claim the spectrum of
+    sum_v x_v A_{d-v}, A_i its distance-i relation, so Q_l(i) =
+    forms[l].coeffs[d - i] is the eigenvalue of A_i on family l.
     """
-    d = len(p) - 1
-    # P_l(v) P_l(w) = sum_u p^u_vw P_l(u) makes row l a character of the
-    # Bose-Mesner algebra spanned by A_0..A_d; P_l(d) = 1 since A_d = I. As
-    # p^u_vw = p^u_wv, (v, w) fails exactly when (w, v) does, so visiting
-    # v <= w finds the same first failing pair
-    rows = [f.coeffs for f in forms]
-    columns = [
-        (v, w, [pu[v][w] for pu in p])
-        for v, w in itertools.combinations_with_replacement(range(d + 1), 2)
-    ]
-    for l, pl in enumerate(rows):
-        if pl[d] != 1:
-            return "characters", f"family {l}: P_l({d}) = {pl[d]}, want 1"
-        for v, w, col in columns:
-            if pl[v] * pl[w] != sum(map(mul, col, pl)):
-                return "characters", f"family {l} is not multiplicative at levels ({v}, {w})"
+    a, b, c, k = array
+    d = len(k) - 1
+    # A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}, A_0 = I, has no
+    # A_{d+1} term (BCN 4.1), so A_i = v_i(A_1) and the last equation is A_1's
+    # minimal polynomial: a row with Q_l(0) = 1 meeting every equation at
+    # theta = Q_l(1) (at i = 0, as a_0 = 0 and c_1 = 1) is (v_i(theta))_i at
+    # a root theta, the character of the algebra on an eigenspace of A_1
+    rows = [f.coeffs[::-1] for f in forms]
+    for l, q in enumerate(rows):
+        if q[0] != 1:
+            return "characters", f"family {l}: P_l({d}) = {q[0]}, want 1"
+        for i in range(1, d + 1):
+            up = c[i + 1] * q[i + 1] if i < d else 0
+            if q[1] * q[i] != b[i - 1] * q[i - 1] + a[i] * q[i] + up:
+                return "characters", f"family {l} fails the recurrence at distance {i}"
     # the algebra is commutative of dimension d+1, so d+1 distinct characters
-    # are all of them: every eigenvalue of sum_v x_v A_v is one of the E_l
+    # are all of them: every eigenvalue of sum_v x_v A_{d-v} is one of the E_l
     if len(set(rows)) != d + 1:
         return "distinct characters", "two families have the same coefficients"
-    # orthogonality: m_l sum_v P_l(v)^2 / k_v = n, over the common multiple
-    # of the valencies k_v = p^d_vv, which sum to n, so it stays in integers
-    k = [p[d][v][v] for v in range(d + 1)]
+    # orthogonality: m_l sum_i Q_l(i)^2 / k_i = n, over the common multiple
+    # of the valencies, which sum to n, so it stays in integers
     n = sum(k)
     common = math.lcm(*k)
-    for l, (pl, f) in enumerate(zip(rows, forms)):
-        if f.multiplicity * sum(c * c * (common // kv) for c, kv in zip(pl, k)) != n * common:
+    for l, (q, f) in enumerate(zip(rows, forms)):
+        if f.multiplicity * sum(qi * qi * (common // ki) for qi, ki in zip(q, k)) != n * common:
             return "multiplicities", f"family {l}: multiplicity {f.multiplicity} fails orthogonality"
     return None
 
@@ -383,16 +348,18 @@ def verify_sdm_spectrum(
     A pass proves, for the matrix sdm.build(s, r) returns, in its
     lexicographic order of through sets:
     1. every cell is x_{d-f}, d = min(s,r), as the paper defines A^{s+r,s}
-       (_level_failure, step "entry rule"), so its level relations A_0..A_d
-       are those of the Johnson scheme J(s+r, s);
-    2. the counted intersection numbers p^u_vw (_intersection_numbers, the
-       same ones each block of verify_gram_det takes) are the matrix's own
-       (step "intersection numbers");
-    3. the closed form's coefficient rows P_l(v) are d+1 distinct
-       characters of the algebra the A_v span (P_l(d) = 1, P_l(v) P_l(w) =
-       sum_u p^u_vw P_l(u)) whose multiplicities satisfy n = m_l sum_v
-       P_l(v)^2 / k_v (_certificate_failure).
-    Hence charpoly(sum_v x_v A_v) = prod_l (lambda - E_l)^{m_l} as
+       (_level_failure, step "entry rule"), so its level-v relation is the
+       distance-(d-v) relation A_{d-v} of the Johnson graph J(s+r, s);
+    2. the closed-form intersection array (a_i, b_i, c_i) and valencies k_i
+       (_intersection_array, as each block of verify_gram_det takes them)
+       are the matrix's own (step "intersection numbers");
+    3. each coefficient row, read by distance as Q_l(i) = P_l(d-i), has
+       Q_l(0) = 1 and meets the recurrence A_1 A_i = b_{i-1} A_{i-1} +
+       a_i A_i + c_{i+1} A_{i+1} at theta = Q_l(1), so it is a character of
+       the algebra the A_i span (BCN 4.1); the d+1 rows are distinct, so
+       they are all of them, and the multiplicities satisfy
+       n = m_l sum_i Q_l(i)^2 / k_i (_certificate_failure).
+    Hence charpoly(sum_v x_v A_{d-v}) = prod_l (lambda - E_l)^{m_l} as
     polynomials in x_0..x_d, for every substitution at once.
 
     Only when the certificate fails do `trials` charpoly trials, seeded by
@@ -407,8 +374,8 @@ def verify_sdm_spectrum(
         raise ValueError(f"need trials >= 1, got {trials}")
     matrix = sdm.build(s, r, max_size=max_size)
     forms = spectrum.distinct_eigenvalues(s, r)
-    p = _intersection_numbers(s, r)
-    failed = _level_failure(s, r, matrix.levels, p) or _certificate_failure(p, forms)
+    array = _intersection_array(s, r)
+    failed = _level_failure(s, r, matrix.levels, array) or _certificate_failure(array, forms)
     failures = []
     if failed is not None:
         rng = random.Random(f"{seed}:{s}:{r}")
@@ -535,13 +502,13 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
     evaluates a determinant, builds a matrix or enumerates partitions:
     1. congruence: for every join type (c, o), a cell of G_s equals the
        same cell of Z^T D Z (_congruence_failure);
-    2. block spectrum: for each r, the Bose-Mesner certificate of
-       A^{s+r,s} (_certificate_failure), on the counted intersection
-       numbers of J(s+r, s), proves det D_t = prod_l E_l^{m_l} for each of
-       the stirling2(k,s+r) partitions t with s+r blocks, where E_l =
-       sum_v P_l(v) X_v is formed from the certified rows; each E_l and its
-       total multiplicity must equal block_spectrum's, whose E_{r,l} is
-       product_form(s, r, l), so det G_s is a product of linear factors.
+    2. block spectrum: for each r, the certificate of A^{s+r,s} on the
+       intersection array of J(s+r, s) (_certificate_failure) proves
+       det D_t = prod_l E_l^{m_l} for each of the stirling2(k,s+r)
+       partitions t with s+r blocks, E_l = sum_v P_l(v) X_v formed from the
+       certified rows; each E_l and its total multiplicity must equal
+       block_spectrum's, whose E_{r,l} is product_form(s, r, l), so det G_s
+       is a product of linear factors.
 
     Both checks read one memo of the substituted symbols X(s, r, t), so
     each is formed once per call, and sum each cell and each E_l in one
@@ -556,8 +523,9 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
     method "congruence", the side of G_s and z_nnz = nnz(Z); each failed
     check gives one failure entry naming its step.
     """
-    side = gram_partition.gram_side(k, s, math.inf)  # checks the shape first
+    gram_partition._check_shape(k, s)
     copies = [stirling2(k, s + r) for r in range(k - s + 1)]
+    side = sum(count * binomial(s + r, s) for r, count in enumerate(copies))
     degree = sum(r * count * binomial(s + r, s) for r, count in enumerate(copies))
     if degree > MAX_DET_DEGREE:
         raise SizeCapExceeded(f"degree of det G_{s} on {k} points", degree, MAX_DET_DEGREE)
@@ -582,7 +550,7 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
             # s + r = 0: no partition of k >= 1 points has 0 blocks
             continue
         forms = spectrum.distinct_eigenvalues(s, r)
-        failed = _certificate_failure(_intersection_numbers(s, r), forms)
+        failed = _certificate_failure(_intersection_array(s, r), forms)
         if failed is not None:
             failures.append({"step": failed[0], "r": r, "detail": failed[1]})
             continue

@@ -133,13 +133,21 @@ class Polynomial:
         try:
             return [str(c) for c in self.coeffs]
         except ValueError:
-            top = max(map(abs, self.coeffs))
-            # 1233 / 4096 < log10(2), so this starts at or below the digit count
-            digits = top.bit_length() * 1233 >> 12
-            while 10**digits <= top:
-                digits += 1
-            limit = sys.get_int_max_str_digits()
-            raise SizeCapExceeded("decimal digits of a coefficient", digits, limit) from None
+            check_str_digits("decimal digits of a coefficient", max(map(abs, self.coeffs)))
+            raise
+
+
+def check_str_digits(what: str, value: int) -> None:
+    """Raises SizeCapExceeded when |value| has more decimal digits than str()
+    converts, sys.get_int_max_str_digits() (0, or no such function: any)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    top = abs(value)
+    # 1233 / 4096 < log10(2), so this starts at or below the digit count
+    digits = top.bit_length() * 1233 >> 12
+    while 10**digits <= top:
+        digits += 1
+    if limit and digits > limit:
+        raise SizeCapExceeded(what, digits, limit)
 
 
 def format_terms(terms: Iterable[tuple[int, str]]) -> str:

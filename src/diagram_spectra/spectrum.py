@@ -15,10 +15,10 @@ Multiplicities are not part of the closed form; the hook-shaped assignment
     m_l = C(s+r,l) - C(s+r,l-1)
 
 is used here and is certified, together with the forms, for every x at once
-by the oracle module's Bose-Mesner check (see verify_sdm_spectrum): the
-rows of coefficients must be the d+1 characters of the Johnson scheme's
-algebra and meet its orthogonality relation with these m_l. The test suite
-gates on that.
+by the oracle (see verify_sdm_spectrum): read by distance, each row of
+coefficients must meet the three-term recurrence of the Johnson graph's
+intersection array (Brouwer, Cohen & Neumaier 4.1 and 9.1), and the d+1
+distinct rows must meet its orthogonality relation with these m_l.
 
 distinct_eigenvalues forms the (d+1)^2 Eberlein coefficients, d = min(s,r),
 by finite differences, the production path: e(s,r,l,.) is the l-fold
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .combinat import binomial
 from .errors import SizeCapExceeded
@@ -91,11 +91,7 @@ class EigenvalueForm:
 
 def distinct_eigenvalues(s: int, r: int) -> list[EigenvalueForm]:
     """All min(s,r)+1 distinct eigenvalue forms of A^{s+r,s}."""
-    if s < 0 or r < 0 or s + r < 1:
-        raise ValueError(f"need s, r >= 0 with s + r >= 1, got ({s}, {r})")
-    lo = min(s, r)
-    if (lo + 1) ** 2 > MAX_EBERLEIN_TERMS:
-        raise SizeCapExceeded("Eberlein terms (min(s,r)+1)^2", (lo + 1) ** 2, MAX_EBERLEIN_TERMS)
+    lo = _check_shape(s, r)
     forms = []
     for l, mult in enumerate(multiplicities(s, r)):
         seq = list(map(mul, _binomial_row(s - l, lo), _binomial_row(r - l, lo)))
@@ -104,6 +100,29 @@ def distinct_eigenvalues(s: int, r: int) -> list[EigenvalueForm]:
         # x_{lo-t} carries e(s, r, l, t)
         forms.append(EigenvalueForm(l=l, coeffs=tuple(reversed(seq)), multiplicity=mult))
     return forms
+
+
+def _check_shape(s: int, r: int) -> int:
+    """min(s,r), once s, r >= 0, s + r >= 1 and the table fits the cap."""
+    if s < 0 or r < 0 or s + r < 1:
+        raise ValueError(f"need s, r >= 0 with s + r >= 1, got ({s}, {r})")
+    lo = min(s, r)
+    if (lo + 1) ** 2 > MAX_EBERLEIN_TERMS:
+        raise SizeCapExceeded("Eberlein terms (min(s,r)+1)^2", (lo + 1) ** 2, MAX_EBERLEIN_TERMS)
+    return lo
+
+
+def table_bounds(s: int, r: int) -> Iterator[int]:
+    """The valencies C(s,t) C(r,t) = e(s,r,0,t) and multiplicities m_t of
+    distinct_eigenvalues(s, r), by ratios, after its checks and without its
+    table, whose entries they bound: a valency bounds its eigenvalues."""
+    lo = _check_shape(s, r)
+    valency, choose, prev = 1, 1, 0  # C(s,t) C(r,t), C(s+r,t), C(s+r,t-1)
+    for t in range(lo + 1):
+        yield valency
+        yield choose - prev
+        valency = valency * (s - t) * (r - t) // (t + 1) ** 2
+        prev, choose = choose, choose * (s + r - t) // (t + 1)
 
 
 def _binomial_row(n: int, top: int) -> list[int]:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -119,7 +120,7 @@ def test_sdm_verify_unwitnessed_failure_table(monkeypatch, capsys):
     assert sdm_main(argv + ["--out", "pretty-table"]) == EXIT_VERIFY
     assert capsys.readouterr().out == (
         "FAIL sdm spectrum s=3 r=4 trials=1\n"
-        "  characters: family 1 is not multiplicative at levels (0, 0)\n"
+        "  characters: family 1 fails the recurrence at distance 2\n"
     )
     assert sdm_main(argv) == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["failures"][0]["step"] == "characters"
@@ -318,6 +319,37 @@ def test_sdm_eig_work_cap_exit(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: Eberlein terms (min(s,r)+1)^2: size 4004001 exceeds cap 16384\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty-table"])
+def test_sdm_eig_digit_cap_exits_before_the_table(monkeypatch, capsys, fmt):
+    # C(127,t) C(10^200,t) outgrows the interpreter's int-to-str limit at
+    # t = 22: refused from the valencies alone, before any Eberlein term
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table must not be formed past the digit cap")
+
+    monkeypatch.setattr(spectrum, "distinct_eigenvalues", refuse)
+    argv = ["eig", "--s", "127", "--r", str(10**200), "--out", fmt]
+    assert sdm_main(argv) == EXIT_CAP
+    out, err = capsys.readouterr()
+    assert out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: decimal digits of an eig table entry: size 4404 exceeds cap {limit}\n"
+
+
+def test_sdm_eig_digit_cap_is_the_largest_entry(capsys):
+    # at s = 2 the largest entry is m_2 = (r+2)(r-1)/2: the last r whose m_2
+    # has `limit` digits prints, and the next one is refused
+    limit = sys.get_int_max_str_digits()
+    r = math.isqrt(2 * 10**limit) - 2
+    while (r + 3) * r // 2 < 10**limit:
+        r += 1
+    assert sdm_main(["eig", "--s", "2", "--r", str(r), "--out", "csv"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert max(len(cell) for row in rows for cell in row.split(",")) == limit
+    assert sdm_main(["eig", "--s", "2", "--r", str(r + 1), "--out", "csv"]) == EXIT_CAP
+    size = limit + 1
+    assert capsys.readouterr().err.endswith(f"size {size} exceeds cap {limit}\n")
 
 
 def test_gram_partition_json(capsys):

@@ -7,7 +7,8 @@ six subcommands in all three output formats at small parameters
 (s, r <= 4; k <= 4; --det only at k <= 3), the format environment variable,
 usage errors (exit 1) and size-cap errors (exit 2), the det degree cap at
 k = 7 and build_gram's join-work cap at k = 76 among them, and `sdm eig`
-at min(s, r) = 127, the largest under the Eberlein cap, and at r = 10^12.
+at min(s, r) = 127, the largest under the Eberlein cap, at r = 10^12, and
+refused on its digits at r = 10^200.
 Digests are cut to 128 bits to keep the file small.
 
 Regenerate the file only for an intended output change, and review its diff:
@@ -119,6 +120,9 @@ def corpus() -> list[list[str]]:
     out.append(["sdm", "eig", "--s", "120", "--r", "1000000000000", "--out", "json"])
     out.append(["sdm", "eig", "--s", "3", "--r", "40", "--out", "pretty-table"])
     out.append(["sdm", "eig", "--s", "128", "--r", "128", "--out", "json"])
+    # an entry past the interpreter's int-to-str digit limit: refused from
+    # the valencies, before the table is formed
+    out += _with_formats(["sdm", "eig", "--s", "127", "--r", str(10**200)])
     return out
 
 

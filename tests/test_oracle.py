@@ -17,7 +17,7 @@ from diagram_spectra.errors import SizeCapExceeded
 from diagram_spectra.oracle import (
     _MERSENNE_EXPONENTS,
     _certificate_failure,
-    _intersection_numbers,
+    _intersection_array,
     _level_failure,
     charpoly,
     congruence_entry,
@@ -230,8 +230,7 @@ def test_det_poly_hadamard_bound_is_met():
     # every entry of H_n times p = c x - (c + 1): at x = -1 the rows are
     # orthogonal with equal norms, so |det| meets Hadamard's bound there, and
     # the coefficients of p^n alternate in sign; with p = c the determinant
-    # 2^1632 at c = 2^100 is within one bit of the packing bound. Side 16 is
-    # past the minor check
+    # 2^1632 at c = 2^100 is within one bit of the packing bound
     for side, det_h in ((8, 8**4), (16, 2**32)):
         h = _sylvester_hadamard(side)
         for c in (1, 3, 2**100, 2**200 + 1):
@@ -293,25 +292,30 @@ def _swapped(forms):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_intersection_numbers_count_the_level_matrix(n):
-    # sdm.build meets the entry rule, and one pair per level counts the
-    # counted numbers, for every shape with s + r = n (sides up to 924)
+    # sdm.build meets the entry rule, and one pair per distance counts the
+    # closed-form array, for every shape with s + r = n (sides up to 924)
     for s in range(n + 1):
-        p = _intersection_numbers(s, n - s)
-        assert _level_failure(s, n - s, sdm.build(s, n - s).levels, p) is None, (s, n - s)
+        array = _intersection_array(s, n - s)
+        assert _level_failure(s, n - s, sdm.build(s, n - s).levels, array) is None, (s, n - s)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_intersection_numbers_count_every_pair_of_rows(n):
-    # the runtime tie reads one column per level; here every ordered pair of
-    # rows (x, y) of sdm.build counts p^u_vw, u the level of (x, y)
+    # the runtime tie reads one column per distance; here, for every ordered
+    # pair of rows (x, y) of sdm.build at distance i, the distance-1
+    # neighbours of x lie at distances i-1, i, i+1 from y exactly c_i, a_i,
+    # b_i times, and every row holds k_i cells at distance i
     for s in range(n + 1):
         levels = sdm.build(s, n - s).levels
-        p = _intersection_numbers(s, n - s)
-        d = len(p) - 1
-        for (i, x), (j, y) in itertools.product(enumerate(levels), repeat=2):
-            counts = collections.Counter(zip(x, y))
-            got = [[counts[v, w] for w in range(d + 1)] for v in range(d + 1)]
-            assert got == p[x[j]], (s, i, j)
+        a, b, c, k = _intersection_array(s, n - s)
+        d = len(k) - 1
+        for x in levels:
+            assert collections.Counter(d - v for v in x) == dict(enumerate(k))
+            near = [z for z, v in enumerate(x) if v == d - 1]
+            for j, y in enumerate(levels):
+                i = d - x[j]
+                got = collections.Counter(d - y[z] for z in near)
+                assert got == collections.Counter({i - 1: c[i], i: a[i], i + 1: b[i]}), (s, j)
 
 
 def _charpoly_agrees(matrix, forms, values):
@@ -333,10 +337,24 @@ def test_certificate_agrees_with_charpoly_at_small_sides(n):
         # nonzero values, so that an x_0 coefficient that is off shows
         draws = [[rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(d + 1)] for _ in range(3)]
         for claim in (forms, _perturbed(forms, d, 0)):
-            certified = _certificate_failure(_intersection_numbers(s, n - s), claim) is None
+            certified = _certificate_failure(_intersection_array(s, n - s), claim) is None
             agrees = all(_charpoly_agrees(matrix, claim, values) for values in draws)
             assert certified == agrees, (s, n - s, claim)
-        assert _certificate_failure(_intersection_numbers(s, n - s), forms) is None
+        assert _certificate_failure(_intersection_array(s, n - s), forms) is None
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_certificate_rejects_every_single_coefficient_change(n):
+    # each coefficient of each family, one up or one down, breaks the first
+    # entry or the recurrence, so the certificate reads every coefficient
+    for s in range(n + 1):
+        forms = spectrum.distinct_eigenvalues(s, n - s)
+        array = _intersection_array(s, n - s)
+        for l, f in enumerate(forms):
+            for v, delta in itertools.product(range(len(f.coeffs)), (1, -1)):
+                coeffs = f.coeffs[:v] + (f.coeffs[v] + delta,) + f.coeffs[v + 1 :]
+                claim = forms[:l] + [replace(f, coeffs=coeffs)] + forms[l + 1 :]
+                assert _certificate_failure(array, claim)[0] == "characters", (s, l, v, delta)
 
 
 @pytest.mark.parametrize(
@@ -345,8 +363,12 @@ def test_certificate_agrees_with_charpoly_at_small_sides(n):
     ids=["perturbed-coefficient", "swapped-multiplicities"],
 )
 def test_certificate_rejects_mutated_closed_form(monkeypatch, mutate, step):
+    # the closed form passes and the mutation fails, up to d = 127
+    for s, r in ((3, 4), (60, 60), (127, 127)):
+        closed = spectrum.distinct_eigenvalues(s, r)
+        assert _certificate_failure(_intersection_array(s, r), closed) is None, (s, r)
+        assert _certificate_failure(_intersection_array(s, r), mutate(closed))[0] == step, (s, r)
     forms = mutate(spectrum.distinct_eigenvalues(3, 4))
-    assert _certificate_failure(_intersection_numbers(3, 4), forms)[0] == step
     monkeypatch.setattr(spectrum, "distinct_eigenvalues", lambda s, r: forms)
     report = verify_sdm_spectrum(3, 4, trials=2, seed=0)
     assert not report.passed
@@ -362,7 +384,7 @@ def test_certificate_rejects_tampered_level_matrix(monkeypatch):
     rows[1][2], rows[1][k] = rows[1][k], rows[1][2]
     rows[2][1], rows[k][1] = rows[k][1], rows[2][1]
     tampered = replace(matrix, levels=tuple(map(tuple, rows)))
-    assert _level_failure(3, 4, tampered.levels, _intersection_numbers(3, 4)) == (
+    assert _level_failure(3, 4, tampered.levels, _intersection_array(3, 4)) == (
         "entry rule",
         "row 1 is not x_{min(s,r)-f} cell by cell",
     )
@@ -374,30 +396,54 @@ def test_certificate_rejects_tampered_level_matrix(monkeypatch):
 
 def test_certificate_rejects_relabelled_levels(monkeypatch):
     # levels 0 and 1 swapped everywhere: J(7, 3) with two relations
-    # relabelled, so the counts match the relabelled numbers, but every cell
-    # at level 0 or 1 breaks the entry rule
+    # relabelled, so every cell at level 0 or 1 breaks the entry rule
     swap = [1, 0, 2, 3]
     matrix = sdm.build(3, 4)
     swapped = replace(matrix, levels=tuple(tuple(swap[v] for v in row) for row in matrix.levels))
-    p = _intersection_numbers(3, 4)
-    relabelled = [[[p[swap[u]][swap[v]][swap[w]] for w in range(4)] for v in range(4)] for u in range(4)]
-    assert _level_failure(3, 4, swapped.levels, relabelled)[0] == "entry rule"
-    assert _level_failure(3, 4, swapped.levels, p)[0] == "entry rule"
-    # the built matrix does not count the relabelled numbers
-    assert _level_failure(3, 4, matrix.levels, relabelled) == (
-        "intersection numbers",
-        "column 31 at level 0 does not count p^0_vw",
-    )
+    array = _intersection_array(3, 4)
+    assert _level_failure(3, 4, swapped.levels, array)[0] == "entry rule"
     monkeypatch.setattr(sdm, "build", lambda s, r, max_size: swapped)
     assert not verify_sdm_spectrum(3, 4, trials=1).passed
+
+
+def _wrong_array(s, r):
+    # one distance-2 neighbour moved from c_2 to a_2: the row sums s*r and
+    # the valencies stay, so only the split at distance 2 is off
+    a, b, c, k = _intersection_array(s, r)
+    a, c = a[:], c[:]
+    a[2], c[2] = a[2] + 1, c[2] - 1
+    return a, b, c, k
+
+
+def test_level_check_rejects_a_wrong_array(monkeypatch):
+    # the built matrix does not count a wrong array, nor wrong valencies,
+    # and the certificate on it fails too
+    matrix = sdm.build(3, 4)
+    assert _level_failure(3, 4, matrix.levels, _wrong_array(3, 4)) == (
+        "intersection numbers",
+        "column 9 does not count c_2, a_2, b_2",
+    )
+    a, b, c, k = _intersection_array(3, 4)
+    assert _level_failure(3, 4, matrix.levels, (a, b, c, k[::-1])) == (
+        "intersection numbers",
+        "row 0 does not count k_i cells at distance i",
+    )
+    forms = spectrum.distinct_eigenvalues(3, 4)
+    assert _certificate_failure(_wrong_array(3, 4), forms)[0] == "characters"
+    monkeypatch.setattr(oracle, "_intersection_array", _wrong_array)
+    report = verify_sdm_spectrum(3, 4, trials=1)
+    assert not report.passed
 
 
 def test_level_check_rejects_a_wrong_side():
     # rows past the side, or missing ones, would go unchecked by the entry rule
     levels = sdm.build(2, 2).levels
-    p = _intersection_numbers(2, 2)
-    assert _level_failure(2, 2, levels + levels[:1], p) == ("entry rule", "side 7, want C(4,2) = 6")
-    assert _level_failure(2, 2, levels[:-1], p)[0] == "entry rule"
+    array = _intersection_array(2, 2)
+    assert _level_failure(2, 2, levels + levels[:1], array) == (
+        "entry rule",
+        "side 7, want C(4,2) = 6",
+    )
+    assert _level_failure(2, 2, levels[:-1], array)[0] == "entry rule"
 
 
 def _in_row_swap(levels):
@@ -439,7 +485,7 @@ def test_certificate_rejects_matrices_that_keep_their_counts(monkeypatch, s, r, 
     # its charpoly at x = (7, -3, 11[, 5]) differs from the closed form
     matrix = sdm.build(s, r)
     tampered = replace(matrix, levels=tuple(map(bytes, tamper(matrix.levels))))
-    assert _level_failure(s, r, tampered.levels, _intersection_numbers(s, r))[0] == "entry rule"
+    assert _level_failure(s, r, tampered.levels, _intersection_array(s, r))[0] == "entry rule"
     assert not _charpoly_agrees(
         tampered, spectrum.distinct_eigenvalues(s, r), [7, -3, 11, 5][: matrix.min_level + 1]
     )
@@ -483,7 +529,7 @@ def test_verify_sdm_spectrum_unwitnessed_failure_names_the_step(monkeypatch):
             "trial": None,
             "substitution": None,
             "step": "characters",
-            "detail": "family 1 is not multiplicative at levels (0, 0)",
+            "detail": "family 1 fails the recurrence at distance 2",
         }
     ]
 
@@ -511,7 +557,7 @@ def test_verify_sdm_spectrum_equal_forms_return_promptly():
     )
     assert proc.stdout == "False [0, 1]\n"
     assert _certificate_failure(
-        _intersection_numbers(2, 3), [spectrum.distinct_eigenvalues(2, 3)[0]] * 3
+        _intersection_array(2, 3), [spectrum.distinct_eigenvalues(2, 3)[0]] * 3
     )[0] == "distinct characters"
 
 
@@ -867,7 +913,7 @@ def test_verify_gram_det_work_cap(monkeypatch, s):
     monkeypatch.setattr(oracle, "congruence_entry", refuse)
     monkeypatch.setattr(oracle, "_substitution_memo", refuse)
     monkeypatch.setattr(oracle, "_congruence_coeffs", refuse)
-    monkeypatch.setattr(oracle, "_intersection_numbers", refuse)
+    monkeypatch.setattr(oracle, "_intersection_array", refuse)
     monkeypatch.setattr(sdm, "build", refuse)
     message = f"G_{s} on 7 points: size {degree} exceeds cap {oracle.MAX_DET_DEGREE}"
     with pytest.raises(SizeCapExceeded, match=message):
