@@ -3,16 +3,20 @@
 Two primitives, neither of which shares arithmetic with the closed-form
 modules beyond the Polynomial container:
 
-* charpoly: exact det(lambda*I - M) of an integer matrix, one path for
-  every side: Hessenberg reduction modulo a few Mersenne primes, O(n^3) per
-  prime, and CRT once the primes' product passes twice the integer Hadamard
-  bound prod_i (isqrt(||row_i||^2) + 2). Past the pool's 19168 bits it
-  raises SizeCapExceeded. Python integers only.
+* charpoly: exact characteristic polynomial det(lambda*I - M) of an integer
+  matrix, one path for every side. It reduces the matrix to Hessenberg form
+  modulo a few Mersenne primes, O(n^3) per prime, and recovers the integer
+  coefficients by CRT once the primes' product passes twice the integer
+  Hadamard bound prod_i (isqrt(||row_i||^2) + 2). The prime pool caps that
+  bound at about 19168 bits; past it charpoly raises SizeCapExceeded.
+  Python integers only.
 
 * det_poly: exact determinant of a matrix over Z[x] as one integer
-  determinant (Kronecker substitution): Bareiss elimination over Z at
-  x = 2^b, b past a Hadamard-type bound on the coefficients of every minor,
-  and the balanced base-2^b digits of the result are its coefficients.
+  determinant (Kronecker substitution): the entries are evaluated at x = 2^b
+  past a Hadamard-type bound on the coefficients of every minor, Bareiss
+  elimination runs over Z, and the balanced base-2^b digits of the result
+  are its coefficients. Sides up to 8 are recomputed by expansion by minors
+  as a self-check.
 
 Both certificates rest on the Johnson graph J(s+r, s), distance-regular of
 diameter d = min(s,r) with intersection array b_i = (s-i)(r-i), c_i = i^2,
@@ -23,14 +27,35 @@ algebra the A_i span through A_1 A_i = b_{i-1} A_{i-1} + a_i A_i +
 c_{i+1} A_{i+1}, so _certificate_failure checks a closed-form spectrum
 against the array in O(d^2) integer operations, for every x at once.
 
-verify_sdm_spectrum checks the built level matrix against the paper's entry
-rule cell by cell, ties the array to it at one pair per distance, and runs
-the certificate; charpoly runs only when a check fails, to find witnesses.
-verify_gram_det certifies det G_s from (k, s) alone, through the congruence
-G_s = Z^T D Z checked one join type at a time (Rota 1964), with the
-certificate on each block of D; det_poly stays as an independent
-cross-check in the tests. Both produce machine-readable reports; failures
-are reported with witnesses, never raised.
+verify_sdm_spectrum certifies the spectrum of A^{s+r,s} for every x at
+once, in Python integers. The built level matrix must meet the paper's
+entry rule in every cell, recomputed from indicators the oracle builds
+itself, and then split the distance-1 neighbours of row 0 as the array says
+at one column per distance, which ties the array to every pair since
+S_{s+r} acts transitively on each relation. charpoly runs only when a check
+fails, on `trials` random substitutions seeded by `seed`, to find
+witnesses.
+
+verify_gram_det certifies det G_s = prod_{r,l} E_{r,l}^{mult}, sign +1
+included, from (k, s) alone, in closed-form arithmetic: it builds no G_s
+and no level matrix, enumerates no partitions and evaluates no
+determinant. It checks the paper's reduction as a congruence
+G_s = Z^T D Z one join type at a time: a cell of either side depends only
+on the number c of blocks of the join of its two partitions and the overlap
+o of its two through choices, and a cell of Z^T D Z sums over the
+coarsenings of the join that keep the two through choices apart, counted
+by their block counts (Rota 1964). For s = 0 each identity is Stirling's
+sum_b S(c,b) (x)_b = x^c, behind Lindstrom's determinant. Z is
+unitriangular in block-count order, as a theorem, so det G_s = det D. Each
+block of D, a substituted A^{s+r,s}, is certified with the certificate
+above on the intersection array of J(s+r, s), for every r, against
+block_spectrum(k, s, r), whose E_{r,l} is a product of linear factors, so
+the det is expanded from their powers. Its work is capped by the degree of
+the det, MAX_DET_DEGREE, since that expansion dominates; det_poly stays as
+an independent cross-check in the tests.
+
+Both verify_* functions produce machine-readable reports; failures are
+reported with witnesses, never raised.
 """
 
 from __future__ import annotations
@@ -213,7 +238,12 @@ def det_poly(
         d = ((v + half) & mask) - half
         digits.append(d)
         v = (v - d) >> b
-    return Polynomial.of(digits)
+    det = Polynomial.of(digits)
+    if n <= 8:
+        check = det_by_minors(m)
+        if check != det:
+            raise AssertionError("Bareiss and minor-expansion determinants disagree")
+    return det
 
 
 @dataclass
@@ -319,8 +349,9 @@ def _certificate_failure(array: Sequence, forms: Sequence) -> tuple[str, str] | 
                 return "characters", f"family {l} fails the recurrence at distance {i}"
     # the algebra is commutative of dimension d+1, so d+1 distinct characters
     # are all of them: every eigenvalue of sum_v x_v A_{d-v} is one of the E_l
-    if len(set(rows)) != d + 1:
-        return "distinct characters", "two families have the same coefficients"
+    distinct = len(set(rows))
+    if len(rows) != d + 1 or distinct != d + 1:
+        return "distinct characters", f"{distinct} distinct families of {len(rows)}, want {d + 1}"
     # orthogonality: m_l sum_i Q_l(i)^2 / k_i = n, over the common multiple
     # of the valencies, which sum to n, so it stays in integers
     n = sum(k)

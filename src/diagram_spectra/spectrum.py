@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul, sub
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .combinat import binomial
 from .errors import SizeCapExceeded
@@ -112,17 +112,12 @@ def _check_shape(s: int, r: int) -> int:
     return lo
 
 
-def table_bounds(s: int, r: int) -> Iterator[int]:
+def table_bounds(s: int, r: int) -> list[int]:
     """The valencies C(s,t) C(r,t) = e(s,r,0,t) and multiplicities m_t of
-    distinct_eigenvalues(s, r), by ratios, after its checks and without its
-    table, whose entries they bound: a valency bounds its eigenvalues."""
+    distinct_eigenvalues(s, r), after its checks and without its table,
+    whose entries they bound: a valency bounds its eigenvalues."""
     lo = _check_shape(s, r)
-    valency, choose, prev = 1, 1, 0  # C(s,t) C(r,t), C(s+r,t), C(s+r,t-1)
-    for t in range(lo + 1):
-        yield valency
-        yield choose - prev
-        valency = valency * (s - t) * (r - t) // (t + 1) ** 2
-        prev, choose = choose, choose * (s + r - t) // (t + 1)
+    return [*map(mul, _binomial_row(s, lo), _binomial_row(r, lo)), *multiplicities(s, r)]
 
 
 def _binomial_row(n: int, top: int) -> list[int]:

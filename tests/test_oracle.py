@@ -230,7 +230,8 @@ def test_det_poly_hadamard_bound_is_met():
     # every entry of H_n times p = c x - (c + 1): at x = -1 the rows are
     # orthogonal with equal norms, so |det| meets Hadamard's bound there, and
     # the coefficients of p^n alternate in sign; with p = c the determinant
-    # 2^1632 at c = 2^100 is within one bit of the packing bound
+    # 2^1632 at c = 2^100 is within one bit of the packing bound. Side 16 is
+    # past the minor check
     for side, det_h in ((8, 8**4), (16, 2**32)):
         h = _sylvester_hadamard(side)
         for c in (1, 3, 2**100, 2**200 + 1):
@@ -558,7 +559,18 @@ def test_verify_sdm_spectrum_equal_forms_return_promptly():
     assert proc.stdout == "False [0, 1]\n"
     assert _certificate_failure(
         _intersection_array(2, 3), [spectrum.distinct_eigenvalues(2, 3)[0]] * 3
-    )[0] == "distinct characters"
+    ) == ("distinct characters", "1 distinct families of 3, want 3")
+    # d+1 distinct families and a copy: the multiplicities sum to 36 on a
+    # side of 35, so the claim must fail although every row is a character
+    forms = spectrum.distinct_eigenvalues(3, 4)
+    assert _certificate_failure(_intersection_array(3, 4), forms + forms[:1]) == (
+        "distinct characters",
+        "4 distinct families of 5, want 4",
+    )
+    assert _certificate_failure(_intersection_array(3, 4), forms[1:]) == (
+        "distinct characters",
+        "3 distinct families of 3, want 4",
+    )
 
 
 def test_verify_sdm_spectrum_deterministic():
