@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -60,6 +61,27 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "".join("  ".join(map(str.ljust, cells, widths)).rstrip() + "\n" for cells in lines)
 
 
+def _level_table(m: sdm.EntryMatrix) -> str:
+    """_table of m's level names under the headers c0..c{n-1}, without a
+    string per cell. Column j is as wide as the wider of "cj" and x_d, the
+    widest name, which every column holds on the diagonal; so the width
+    changes only where the headers gain a digit, and each row is one join
+    per run of equal widths, over the names padded once for that width."""
+    headers = [f"c{j}" for j in range(m.n)]
+    names = m.level_names()
+    widths = [max(len(h), len(names[-1])) for h in headers]
+    lines = ["  ".join(map(str.ljust, headers, widths)), "  ".join("-" * w for w in widths)]
+    runs, start = [], 0
+    for w, run in itertools.groupby(widths):
+        stop = start + len(list(run))
+        # each name with its separator; rstrip drops the last one
+        runs.append((start, stop, [name.ljust(w) + "  " for name in names]))
+        start = stop
+    for row in m.levels:
+        lines.append("".join(["".join(map(pad.__getitem__, row[c0:c1])) for c0, c1, pad in runs]))
+    return "".join(line.rstrip() + "\n" for line in lines)
+
+
 def _emit(
     fmt: str, data: Callable[[], object], csv: Callable[[], str], table: Callable[[], str]
 ) -> None:
@@ -87,12 +109,7 @@ def _sdm_build(args: argparse.Namespace) -> Result:
     cap = sdm.DEFAULT_MAX_SIZE if args.max_size is None else args.max_size
     m = sdm.build(args.s, args.r, max_size=cap)
 
-    def table() -> str:
-        name = m.level_names().__getitem__
-        rows = [list(map(name, row)) for row in m.levels]
-        return _table([f"c{j}" for j in range(m.n)], rows)
-
-    return EXIT_OK, m.to_json_dict, m.to_csv, table
+    return EXIT_OK, m.to_json_dict, m.to_csv, lambda: _level_table(m)
 
 
 def _sdm_eig(args: argparse.Namespace) -> Result:

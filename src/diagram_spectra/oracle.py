@@ -30,7 +30,10 @@ against the array in O(d^2) integer operations, for every x at once.
 verify_sdm_spectrum certifies the spectrum of A^{s+r,s} for every x at
 once, in Python integers. The built level matrix must meet the paper's
 entry rule in every cell, recomputed from indicators the oracle builds
-itself, and then split the distance-1 neighbours of row 0 as the array says
+itself from the complements of the through sets, which are the r-subsets
+in reverse lexicographic order; each row is summed and compared in one
+chain of C-level calls. Then, counted by bytes.count, row 0 must hold k_i
+cells at distance i and split its distance-1 neighbours as the array says
 at one column per distance, which ties the array to every pair since
 S_{s+r} acts transitively on each relation. charpoly runs only when a check
 fails, on `trials` random substitutions seeded by `seed`, to find
@@ -66,7 +69,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
+from operator import mul, ne
 from typing import Sequence
 
 from . import gram_partition, sdm, spectrum
@@ -287,38 +290,56 @@ def _level_failure(s: int, r: int, levels: Sequence, array: Sequence) -> tuple[s
 
     1. "entry rule": every cell is the paper's x_{d-f}, d = min(s,r), f the
        points through in one index diagram and horizontal in the other. The
-       through sets T_j are recomputed here in lexicographic order, with P_e
-       the packed indicator of point e (byte j is 1 when T_j holds e), and
-       row i must be the bytes of d*1 - sum_{e not in T_i} P_e, whose byte j
-       is d - |T_j minus T_i| = d - f. No byte of a partial sum passes f, so
-       none carries or borrows.
-    2. "intersection numbers": row 0 holds k_i cells at each distance i,
-       and for the first column y at distance i in row 0, the s*r
-       distance-1 neighbours of row 0 lie at distances i-1, i and i+1 from
-       y exactly c_i, a_i and b_i times. Once every cell holds, the matrix
-       is J(s+r, s)'s, whose relations S_{s+r} permutes transitively pair
-       by pair, so one pair at each distance ties the array to all of them;
-       row 0 holds every level, as T_0 meets some T_j in each of
-       max(0, s-r)..s points."""
+       through sets T_j run in lexicographic order, so their complements C_j
+       are the r-subsets in reverse lexicographic order, recomputed here.
+       P_e is the packed indicator of point e (byte j is 1 when T_j holds e,
+       i.e. when C_j does not), and row i must be the bytes of
+       d*1 - sum_{e in C_i} P_e, whose byte j is d - |T_j minus T_i| =
+       d - f. No byte of a partial sum passes f, so none carries or borrows.
+       Each row is summed, converted and compared in one chain of C-level
+       calls, and the first row that differs is reported.
+    2. "intersection numbers", by byte counts: row 0 holds k_i cells at each
+       distance i, and for the first column y at distance i in row 0, the
+       s*r distance-1 neighbours of row 0 lie at distances i-1, i and i+1
+       from y exactly c_i, a_i and b_i times, and nowhere else. Once every
+       cell holds, the matrix is J(s+r, s)'s, whose relations S_{s+r}
+       permutes transitively pair by pair, so one pair at each distance ties
+       the array to all of them; row 0 holds every level, as T_0 meets some
+       T_j in each of max(0, s-r)..s points."""
     d = min(s, r)
-    through = list(itertools.combinations(range(s + r), s))
-    n = len(through)
+    outside = list(itertools.combinations(range(s + r), r))
+    outside.reverse()
+    n = len(outside)
     if len(levels) != n:
         return "entry rule", f"side {len(levels)}, want C({s + r},{s}) = {n}"
-    packed = [int.from_bytes(bytes(e in t for t in through), "little") for e in range(s + r)]
-    top = d * int.from_bytes(b"\x01" * n, "little")
-    for i, (t, row) in enumerate(zip(through, levels)):
-        want = top - sum([packed[e] for e in range(s + r) if e not in t])
-        if bytes(row) != want.to_bytes(n, "little"):
-            return "entry rule", f"row {i} is not x_{{min(s,r)-f}} cell by cell"
+    # byte j of held[e] is 1 when C_j holds e, so that P_e = 1 - held[e]
+    held = [bytearray(n) for _ in range(s + r)]
+    for j, comp in enumerate(outside):
+        for e in comp:
+            held[e][j] = 1
+    ones = int.from_bytes(b"\x01" * n, "little")
+    minus = [int.from_bytes(h, "little") - ones for h in held]
+    # row i wants sum(map(minus.__getitem__, C_i), d*1) as n bytes, each
+    # step a map over the rows, so no Python frame runs per row
+    sums = map(
+        sum, map(map, itertools.repeat(minus.__getitem__), outside), itertools.repeat(d * ones)
+    )
+    wants = map(int.to_bytes, sums, itertools.repeat(n), itertools.repeat("little"))
+    differ = map(ne, wants, map(bytes, levels))
+    bad = next(itertools.compress(itertools.count(), differ), None)
+    if bad is not None:
+        return "entry rule", f"row {bad} is not x_{{min(s,r)-f}} cell by cell"
     a, b, c, k = array
-    if Counter(levels[0]) != Counter({d - i: ki for i, ki in enumerate(k)}):
+    row0 = bytes(levels[0])
+    if [row0.count(d - i) for i in range(d + 1)] != list(k):
         return "intersection numbers", "row 0 does not count k_i cells at distance i"
-    near = [z for z, v in enumerate(levels[0]) if v == d - 1]
+    near = [z for z, v in enumerate(row0) if v == d - 1]
     for i in range(d + 1):
-        y = levels[0].index(d - i)
-        want = Counter({d - i + 1: c[i], d - i: a[i], d - i - 1: b[i]})
-        if Counter(levels[y][z] for z in near) != want:
+        y = row0.index(d - i)
+        cells = bytes(map(levels[y].__getitem__, near))
+        # every cell lies in 0..d, so a level outside it counts none
+        got = [cells.count(v) if 0 <= v <= d else 0 for v in (d - i + 1, d - i, d - i - 1)]
+        if got != [c[i], a[i], b[i]] or sum(got) != len(near):
             return "intersection numbers", f"column {y} does not count c_{i}, a_{i}, b_{i}"
     return None
 

@@ -21,8 +21,10 @@ Gram-block work).
 Row i is therefore a sum of s indicator vectors, one per element e of
 through_i, each marking the columns whose through set holds e, less the
 constant s - min(s,r). `build` packs each element's indicator into one int
-with a byte per column, so a row costs s big-int additions and one
-subtraction, and its bytes are the row's levels. Every level lies in
+with a byte per column, so a row costs s big-int additions, started from
+the negated constant, and its bytes are the row's levels. The sums and
+their conversions run as maps over the through sets, with no per-element
+index arithmetic and no Python frame per row. Every level lies in
 [0, min(s,r)], and min(s,r) <= 255 at any side that fits in memory, so each
 byte of the result is exact even where a partial sum carried.
 
@@ -49,7 +51,7 @@ cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import itemgetter
 from typing import Sequence, TypeVar
 
@@ -126,20 +128,22 @@ def build(s: int, r: int, max_size: int = DEFAULT_MAX_SIZE) -> EntryMatrix:
     if n > max_size:
         raise SizeCapExceeded(f"A^{{{s + r},{s}}}", n, max_size)
     through = k_subsets(s + r, s)
-    # byte j of packed[e - 1] is 1 when column j's through set holds e
-    columns = [bytearray(n) for _ in range(s + r)]
+    # byte j of packed[e] is 1 when column j's through set holds e; the
+    # points are 1..s+r, so packed[0] stays 0 and a through set indexes
+    # packed as it is
+    columns = [bytearray(n) for _ in range(s + r + 1)]
     for j, t in enumerate(through):
         for e in t:
-            columns[e - 1][j] = 1
+            columns[e][j] = 1
     packed = [int.from_bytes(col, "little") for col in columns]
     # byte j of a row's sum is |through_i cap through_j|, and of the row
     # less the bias its level; a partial sum past 255 carries, but the ints
-    # are exact and the final bytes are levels, so nothing is lost
+    # are exact and the final bytes are levels, so nothing is lost. Row i is
+    # sum(map(packed.__getitem__, through_i), -bias) as n bytes, each step a
+    # map over the rows, so no Python frame runs per row
     bias = (s - min(s, r)) * int.from_bytes(b"\x01" * n, "little")
-    rows = tuple(
-        (sum([packed[e - 1] for e in t]) - bias).to_bytes(n, "little")
-        for t in through
-    )
+    sums = map(sum, map(map, repeat(packed.__getitem__), through), repeat(-bias))
+    rows = tuple(map(int.to_bytes, sums, repeat(n), repeat("little")))
     return EntryMatrix(s=s, r=r, n=n, levels=rows)
 
 

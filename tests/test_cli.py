@@ -17,6 +17,7 @@ from diagram_spectra.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     FORMAT_ENV_VAR,
+    _level_table,
     _table,
     gram_main,
     sdm_main,
@@ -142,6 +143,28 @@ def test_sdm_verify_unwitnessed_failure_table(monkeypatch, capsys):
 def test_table_pads_each_column_to_its_widest_cell(headers, rows, text):
     # trailing spaces are stripped from every line
     assert _table(headers, rows) == text
+
+
+# levels up to x10, wider than the headers c0..c9, with x10 on the diagonal as
+# in every level matrix; no matrix with min(s, r) >= 10 fits in memory
+_WIDE_NAMES = sdm.EntryMatrix(
+    s=10,
+    r=10,
+    n=12,
+    levels=tuple(bytes(10 if i == j else i * j % 10 for j in range(12)) for i in range(12)),
+)
+
+
+@pytest.mark.parametrize(
+    "s, r", [(1, 1), (0, 3), (2, 3), (3, 3), (4, 4), (2, 9), (3, 12), (1, 1000), (10, 10)]
+)
+def test_level_table_is_the_table_of_the_level_names(s, r):
+    # past the headers c9, c99 and c999 the columns widen, at sides 55, 455
+    # and 1001
+    m = _WIDE_NAMES if s == 10 else sdm.build(s, r)
+    name = m.level_names().__getitem__
+    rows = [list(map(name, row)) for row in m.levels]
+    assert _level_table(m) == _table([f"c{j}" for j in range(m.n)], rows)
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -8,7 +8,8 @@ six subcommands in all three output formats at small parameters
 usage errors (exit 1) and size-cap errors (exit 2), the det degree cap at
 k = 7 and build_gram's join-work cap at k = 76 among them, and `sdm eig`
 at min(s, r) = 127, the largest under the Eberlein cap, at r = 10^12, and
-refused on its digits at r = 10^200.
+refused on its digits at r = 10^200, and `sdm verify` at (4, 5) and at
+(7, 7), side 3432.
 Digests are cut to 128 bits to keep the file small.
 
 Regenerate the file only for an intended output change, and review its diff:
@@ -49,7 +50,7 @@ def corpus() -> list[list[str]]:
         for trials, seed in ((1, 0), (3, 7)):
             argv = ["sdm", "verify", "--s", str(s), "--r", str(r)]
             out += _with_formats(argv + ["--trials", str(trials), "--seed", str(seed)])
-    # sides 35 and 70: the largest verify sides in the corpus
+    # sides 35 and 70; the two largest verify sides close the corpus
     out += _with_formats(["sdm", "verify", "--s", "3", "--r", "4", "--trials", "1"])
     out += _with_formats(["sdm", "verify", "--s", "4", "--r", "4", "--trials", "1"])
 
@@ -123,6 +124,11 @@ def corpus() -> list[list[str]]:
     # an entry past the interpreter's int-to-str digit limit: refused from
     # the valencies, before the table is formed
     out += _with_formats(["sdm", "eig", "--s", "127", "--r", str(10**200)])
+    # the largest shape of the criterion-2 sweep, and the certificate at side
+    # 3432, past the charpoly cap
+    out += _with_formats(["sdm", "verify", "--s", "4", "--r", "5", "--trials", "1", "--seed", "0"])
+    side_3432 = ["sdm", "verify", "--s", "7", "--r", "7", "--trials", "1", "--max-size", "3432"]
+    out.append(side_3432 + ["--out", "csv"])
     return out
 
 

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -445,6 +446,53 @@ def test_level_check_rejects_a_wrong_side():
         "side 7, want C(4,2) = 6",
     )
     assert _level_failure(2, 2, levels[:-1], array)[0] == "entry rule"
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_reversed_complement_subsets_follow_the_lexicographic_subsets(n):
+    # the entry rule reads C_i, the complement of the i-th through set, from
+    # the (n-s)-subsets in reverse lexicographic order
+    for s in range(n + 1):
+        through = list(itertools.combinations(range(n), s))
+        outside = list(reversed(list(itertools.combinations(range(n), n - s))))
+        assert [set(range(n)) - set(t) for t in through] == list(map(set, outside)), s
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_entry_rule_names_the_first_row_that_differs(n):
+    # one cell changed in one of the first four rows or the last, and then in
+    # all of them at once: the step names the first changed row
+    for s in range(n + 1):
+        levels = sdm.build(s, n - s).levels
+        array = _intersection_array(s, n - s)
+        targets = sorted({*range(min(4, len(levels))), len(levels) - 1})
+
+        def changed(rows):
+            cells = [bytearray(row) for row in levels]
+            for i in rows:
+                j = (7 * i + 3) % len(levels)
+                cells[i][j] += 1
+            return tuple(map(bytes, cells))
+
+        for rows in [[i] for i in targets] + [targets[::-1]]:
+            assert _level_failure(s, n - s, changed(rows), array) == (
+                "entry rule",
+                f"row {min(rows)} is not x_{{min(s,r)-f}} cell by cell",
+            ), (s, rows)
+
+
+def test_entry_rule_holds_a_few_rows_beyond_the_matrix():
+    # the checked rows are formed and compared one at a time: at side 3432
+    # (an 11.8 MB matrix) the check allocates under 2 MB
+    levels = sdm.build(7, 7, max_size=3432).levels
+    array = _intersection_array(7, 7)
+    tracemalloc.start()
+    try:
+        assert _level_failure(7, 7, levels, array) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def _in_row_swap(levels):
