@@ -47,15 +47,18 @@ G_s = Z^T D Z one join type at a time: a cell of either side depends only
 on the number c of blocks of the join of its two partitions and the overlap
 o of its two through choices, and a cell of Z^T D Z sums over the
 coarsenings of the join that keep the two through choices apart, counted
-by their block counts (Rota 1964). For s = 0 each identity is Stirling's
-sum_b S(c,b) (x)_b = x^c, behind Lindstrom's determinant. Z is
-unitriangular in block-count order, as a theorem, so det G_s = det D. Each
-block of D, a substituted A^{s+r,s}, is certified with the certificate
-above on the intersection array of J(s+r, s), for every r, against
-block_spectrum(k, s, r), whose E_{r,l} is a product of linear factors, so
-the det is expanded from their powers. Its work is capped by the degree of
-the det, MAX_DET_DEGREE, since that expansion dominates; det_poly stays as
-an independent cross-check in the tests.
+by their block counts (Rota 1964) with r-Stirling numbers S_m(n, b), the
+partitions of n points into b blocks that keep m given points apart
+(Broder 1984). For s = 0 each identity is Stirling's sum_b S(c,b) (x)_b =
+x^c, behind Lindstrom's determinant. Z is unitriangular in block-count
+order, as a theorem, so det G_s = det D, and nnz(Z) is a sum of r-Bell
+numbers sum_b S_s(s+r, b). Each block of D, a substituted A^{s+r,s}, is
+certified with the certificate above on the intersection array of
+J(s+r, s), for every r, against block_spectrum(k, s, r), whose E_{r,l} is
+a product of linear factors, so the det is expanded from their powers. Its
+work is capped by the degree of the det, MAX_DET_DEGREE, since that
+expansion dominates; det_poly stays as an independent cross-check in the
+tests.
 
 Both verify_* functions produce machine-readable reports; failures are
 reported with witnesses, never raised.
@@ -482,18 +485,30 @@ def _substitution_memo(s: int):
     return functools.cache(lambda r, t: gram_partition.x_substitution_poly(s, r, t).coeffs)
 
 
+def _r_stirling(m: int, n: int) -> list[int]:
+    """The r-Stirling numbers S_m(n, b) for b = 0..n: the partitions of n
+    points into b blocks that keep the first m points in different blocks
+    (Broder 1984). From the m singletons, each further point opens a block
+    or joins one of b: S_m(n, b) = b S_m(n-1, b) + S_m(n-1, b-1). All zero
+    when n < m, where no such partition exists."""
+    row = [int(b == m) for b in range(n + 1)]
+    # add point p in place, top down, so that row[b - 1] still holds
+    # S_m(p-1, b-1); that is 0 at b = m, where the entry only scales
+    for p in range(m + 1, n + 1):
+        for b in range(p, m, -1):
+            row[b] = b * row[b] + row[b - 1]
+        row[m] *= m
+    return row
+
+
 def _congruence_coeffs(s: int, c: int, o: int, xsub) -> list[int]:
     """congruence_entry(s, c, o) as a coefficient list, X(s, r, t) read from
     the memo xsub."""
-    f = c - 2 * s + o
     acc: list[int] = []
     for j in range(s - o + 1):
         pairs = binomial(s - o, j) ** 2 * math.factorial(j)
         m = 2 * s - o - j
-        for b in range(m, m + f + 1):
-            spread = sum(
-                binomial(f, i) * m ** (f - i) * stirling2(i, b - m) for i in range(b - m, f + 1)
-            )
+        for b, spread in enumerate(_r_stirling(m, c - j)[m:], m):
             _add_scaled(acc, pairs * spread, xsub(b - s, s - o - j))
     return acc
 
@@ -507,9 +522,10 @@ def congruence_entry(s: int, c: int, o: int) -> Polynomial:
     partitions t of the c join blocks that keep P's blocks apart and Q's
     apart, counted (Rota 1964), not enumerated: t pairs j of the s - o blocks
     only P meets with j of those only Q meets, in C(s-o, j)^2 j! ways, and
-    has m = 2s - o - j blocks that P or Q meets; of the f = c - 2s + o other
-    join blocks, i make its b - m other blocks, in C(f, i) S(i, b - m) ways,
-    and the rest join one of the m, in m^(f - i) ways.
+    has m = 2s - o - j blocks that P or Q meets. Merging each pair leaves
+    c - j blocks, m of them kept apart, so the t with b blocks number the
+    r-Stirling number S_m(c - j, b) (Broder 1984). No t exists when
+    c < 2s - o, and the entry is then ZERO.
     """
     return Polynomial.of(_congruence_coeffs(s, c, o, _substitution_memo(s)))
 
@@ -577,8 +593,10 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
     """
     gram_partition._check_shape(k, s)
     copies = [stirling2(k, s + r) for r in range(k - s + 1)]
-    side = sum(count * binomial(s + r, s) for r, count in enumerate(copies))
-    degree = sum(r * count * binomial(s + r, s) for r, count in enumerate(copies))
+    # the half diagrams whose partition has s + r blocks
+    half = [count * binomial(s + r, s) for r, count in enumerate(copies)]
+    side = sum(half)
+    degree = sum(r * h for r, h in enumerate(half))
     if degree > MAX_DET_DEGREE:
         raise SizeCapExceeded(f"degree of det G_{s} on {k} points", degree, MAX_DET_DEGREE)
     xsub = _substitution_memo(s)
@@ -586,16 +604,10 @@ def verify_gram_det(k: int, s: int) -> VerifyReport:
     failed = _congruence_failure(k, s, xsub)
     if failed is not None:
         failures.append(failed)
-    # nnz(Z): a column (p, P), p with b blocks, has one entry per coarsening
-    # of p that keeps the s blocks of P apart: i of the other b - s blocks
-    # make new blocks, in Bell(i) ways, and the rest join one of P's
-    bell = [sum(stirling2(i, j) for j in range(i + 1)) for i in range(k - s + 1)]
-    z_nnz = sum(
-        stirling2(k, b)
-        * binomial(b, s)
-        * sum(binomial(b - s, i) * s ** (b - s - i) * bell[i] for i in range(b - s + 1))
-        for b in range(s, k + 1)
-    )
+    # nnz(Z): a column (p, P), p with s + r blocks, has one entry per
+    # coarsening of p that keeps the s blocks of P apart, which number the
+    # r-Bell number sum_b S_s(s + r, b) (Broder 1984)
+    z_nnz = sum(h * sum(_r_stirling(s, s + r)) for r, h in enumerate(half))
     exponents: Counter[int] = Counter()
     for r, count in enumerate(copies):
         if not count:

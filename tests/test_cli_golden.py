@@ -4,12 +4,13 @@ Every invocation of `corpus()` runs in-process through `sdm_main` or
 `gram_main`, and its exit code and the sha256 of its stdout and of its
 stderr must equal the line recorded in cli_golden.txt. The corpus covers the
 six subcommands in all three output formats at small parameters
-(s, r <= 4; k <= 4; --det only at k <= 3), the format environment variable,
-usage errors (exit 1) and size-cap errors (exit 2), the det degree cap at
-k = 7 and build_gram's join-work cap at k = 76 among them, and `sdm eig`
-at min(s, r) = 127, the largest under the Eberlein cap, at r = 10^12, and
-refused on its digits at r = 10^200, and `sdm verify` at (4, 5) and at
-(7, 7), side 3432.
+(s, r <= 4; k <= 4; --det in every format only at k <= 3), the format
+environment variable, usage errors (exit 1) and size-cap errors (exit 2),
+the det degree cap at k = 7 and build_gram's join-work cap at k = 76 among
+them, `sdm eig` at min(s, r) = 127, the largest under the Eberlein cap, at
+r = 10^12, and refused on its digits at r = 10^200, `sdm verify` at (4, 5)
+and at (7, 7), side 3432, and `gram partition --det` in json at the k >= 4
+shapes of the gram-det benchmark workload.
 Digests are cut to 128 bits to keep the file small.
 
 Regenerate the file only for an intended output change, and review its diff:
@@ -129,6 +130,9 @@ def corpus() -> list[list[str]]:
     out += _with_formats(["sdm", "verify", "--s", "4", "--r", "5", "--trials", "1", "--seed", "0"])
     side_3432 = ["sdm", "verify", "--s", "7", "--r", "7", "--trials", "1", "--max-size", "3432"]
     out.append(side_3432 + ["--out", "csv"])
+    # the certified det past k = 3: the k >= 4 shapes that gram-det runs
+    for k, s in [(4, s) for s in range(5)] + [(5, 0), (5, 3), (5, 4), (5, 5), (6, 5), (6, 6)]:
+        out.append(["gram", "partition", "--k", str(k), "--s", str(s), "--det", "--out", "json"])
     return out
 
 

@@ -20,6 +20,7 @@ from diagram_spectra.oracle import (
     _certificate_failure,
     _intersection_array,
     _level_failure,
+    _r_stirling,
     charpoly,
     congruence_entry,
     det_by_minors,
@@ -830,12 +831,52 @@ def _brute_congruence_entry(s, c, o, partitions):
 
 @pytest.mark.parametrize("c", range(1, 10))
 def test_congruence_entry_counts_the_coarsenings(c):
-    # the counted sum against the enumerated one, for every join type
+    # the counted sum against the enumerated one, for every join type; no
+    # join of c blocks holds 2s - o > c distinct through blocks, so there
+    # the entry is ZERO
     partitions = [t for b in range(1, c + 1) for t in combinat.set_partitions(c, b)]
     for s in range(c + 1):
-        for o in range(max(0, 2 * s - c), s + 1):
-            want = _brute_congruence_entry(s, c, o, partitions)
+        for o in range(s + 1):
+            if c < 2 * s - o:
+                want = ZERO
+            else:
+                want = _brute_congruence_entry(s, c, o, partitions)
             assert congruence_entry(s, c, o) == want, (s, c, o)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_r_stirling_counts_partitions_that_keep_points_apart(n):
+    # S_m(n, b) against the partitions of n points into b blocks, RGS by
+    # RGS, that put points 1..m in m different blocks
+    for m in range(n + 1):
+        want = [int(n == 0)] + [0] * n
+        for b in range(1, n + 1):
+            for labels in combinat.set_partitions(n, b):
+                want[b] += len(set(labels[:m])) == m
+        assert _r_stirling(m, n) == want, (m, n)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_r_stirling_is_the_stirling_convolution(m):
+    # Broder's identity S_m(f + m, q + m) = sum_i C(f,i) m^(f-i) S(i, q): the
+    # f points outside the m make q new blocks from i of them, and the rest
+    # join one of the m
+    for f in range(11):
+        row = _r_stirling(m, f + m)
+        for q in range(f + 1):
+            want = sum(
+                combinat.binomial(f, i) * m ** (f - i) * combinat.stirling2(i, q)
+                for i in range(q, f + 1)
+            )
+            assert row[q + m] == want, (m, f, q)
+        assert not any(row[:m]), (m, f)
+
+
+def test_r_stirling_is_zero_below_m():
+    # fewer points than must be kept apart: no partition at all
+    for m in range(1, 8):
+        for n in range(m):
+            assert _r_stirling(m, n) == [0] * (n + 1), (m, n)
 
 
 def _tampered_gram(k, s, i, j, value, mirror=True):
@@ -973,6 +1014,7 @@ def test_verify_gram_det_work_cap(monkeypatch, s):
     monkeypatch.setattr(oracle, "congruence_entry", refuse)
     monkeypatch.setattr(oracle, "_substitution_memo", refuse)
     monkeypatch.setattr(oracle, "_congruence_coeffs", refuse)
+    monkeypatch.setattr(oracle, "_r_stirling", refuse)
     monkeypatch.setattr(oracle, "_intersection_array", refuse)
     monkeypatch.setattr(sdm, "build", refuse)
     message = f"G_{s} on 7 points: size {degree} exceeds cap {oracle.MAX_DET_DEGREE}"
